@@ -1,28 +1,22 @@
-"""Workspace kernel backends vs the legacy fused engine on the Fig. 3 grid.
+"""Kernel backends (numpy vs jit) on the Fig. 3 grid under ``rng="free"``.
 
-The workspace refactor (:mod:`repro.sim.batch_kernels`) rebinds every
-kernel to preallocated buffers and replaces the legacy per-interval
-allocations with ``out=`` ufunc passes, closed-form single-pair priority
-updates, and matmul prefix sums; ``backend="jit"`` additionally compiles
-the two sequential inner loops with Numba (``prange`` over batch rows)
-where it is installed, and ``rng="free"`` drops the lockstep draw
-contract so kernels generate only the randomness they consume.  The
-batch-discipline backends consume identical RNG streams and are
-bit-identical in output; the free leg is a statistically equivalent
-fresh sample (asserted within a CI bound by
-``tests/integration/test_free_rng.py``).
+Every kernel runs on preallocated workspace buffers with ``out=`` ufunc
+passes, closed-form single-pair priority updates, and matmul prefix
+sums; ``backend="jit"`` additionally compiles the two sequential inner
+loops with Numba (``prange`` over batch rows) where it is installed.
+Both backends consume identical free RNG streams and are bit-identical
+in output (asserted here before timing, and in
+``tests/integration/test_kernel_backends.py``).
 
 This benchmark times each backend on the paper's Fig. 3 sweep (16 alpha
-values x 20 seeds x DB-DP + LDF), times the free-draw discipline on the
-benchmarked default backend (jit where numba is importable), and records
-a perf-counter decomposition of the workspace run so the speedup is
-attributable stage by stage.  When jit is expected but numba is not
-importable, the run warns loudly and the report carries
+values x 20 seeds x DB-DP + LDF) and records a perf-counter
+decomposition of each backend's run so ``tools/check_jit_wins.py`` can
+check the compiled loops stage by stage.  When numba is not importable
+the jit leg is skipped with a loud warning and the report carries
 ``jit_skipped: true`` so a dashboard never mistakes a numpy fallback for
 a compiled measurement.  Results land in ``BENCH_kernels.json`` (path
-overridable via ``REPRO_BENCH_KERNELS_JSON``); each full-scale run
-appends its headline numbers to the report's ``trajectory`` list so the
-speedup history stays in the artifact.
+overridable via ``REPRO_BENCH_KERNELS_JSON``); each run appends its
+headline numbers to the report's ``trajectory`` list.
 
 Timing is manual (``perf_counter``, interleaved best-of-3) so the numbers
 exist even under ``pytest --benchmark-disable``; the committed full-scale
@@ -50,16 +44,6 @@ PAPER_INTERVALS = 5000
 NUM_SEEDS = 20
 ALPHAS = tuple(round(0.40 + 0.02 * i, 2) for i in range(16))
 REPS = 3
-#: Smoke floor for the workspace path.  The committed full-scale run on a
-#: single-core container shows ~1.7x end-to-end (see BENCH_kernels.json;
-#: the shared RNG draw generation — identical across backends by the
-#: bit-identity contract — bounds the reachable ratio); assert well below
-#: that so noisy CI boxes don't flake.
-MIN_SPEEDUP = 1.25
-#: Loose floor for the free-draw leg vs the batch-discipline numpy leg:
-#: free must never be a catastrophic regression, even on noisy smoke
-#: scales where its draw savings are partly warm-up.
-MIN_FREE_RATIO = 0.75
 
 POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
 
@@ -74,11 +58,24 @@ def _spec_builder(alpha: float):
     return video_symmetric_spec(alpha, delivery_ratio=0.9)
 
 
-def _run(backend: str, intervals: int, seeds, rng=None, shards=None):
+def _run(backend: str, intervals: int, seeds):
     return run_sweep_fused(
         "alpha*", ALPHAS, _spec_builder, POLICIES, intervals, seeds,
-        validate=False, backend=backend, rng=rng, shards=shards,
+        validate=False, backend=backend, rng="free",
     )
+
+
+def _stage_run(backend: str, intervals: int, seeds) -> dict:
+    """Per-stage seconds/allocs of one instrumented run of ``backend``."""
+    was_enabled = perf.counters.enabled
+    perf.reset()
+    perf.enable()
+    try:
+        _run(backend, intervals, seeds)
+        return perf.counters.snapshot()
+    finally:
+        perf.counters.enabled = was_enabled
+        perf.reset()
 
 
 def _prior_trajectory(path: Path):
@@ -93,7 +90,7 @@ def test_kernel_backends_hotloop():
     intervals = bench_intervals(PAPER_INTERVALS)
     seeds = tuple(range(NUM_SEEDS))
 
-    backends = ["legacy", "numpy"]
+    backends = ["numpy"]
     # The JIT leg is only a distinct measurement when numba is actually
     # installed; forced-Python mode exists for semantics tests and would
     # just time the interpreter.
@@ -110,45 +107,25 @@ def test_kernel_backends_hotloop():
             RuntimeWarning,
             stacklevel=1,
         )
-    #: The benchmarked default: what resolve_backend(None) picks here.
-    default_backend = "jit" if jit_compiled else "numpy"
 
     # Bit-identity first (also warms every code path before timing).
     results = {b: _run(b, intervals, seeds) for b in backends}
-    reference = results["legacy"]
     for backend in backends[1:]:
-        assert results[backend].points == reference.points, (
-            f"backend {backend!r} diverged from the legacy engine"
+        assert results[backend].points == results["numpy"].points, (
+            f"backend {backend!r} diverged from the numpy backend"
         )
-    # Warm the free leg too (first call pays chunk-buffer setup).
-    _run(default_backend, intervals, seeds, rng="free")
 
-    legs = [(b, None) for b in backends] + [(default_backend, "free")]
     best = {}
     for _ in range(REPS):
-        for backend, rng in legs:  # interleaved: noise hits all equally
-            key = f"{backend}+free" if rng else backend
+        for backend in backends:  # interleaved: noise hits all equally
             gc.collect()
             t0 = time.perf_counter()
-            _run(backend, intervals, seeds, rng=rng)
-            best[key] = min(
-                best.get(key, float("inf")), time.perf_counter() - t0
+            _run(backend, intervals, seeds)
+            best[backend] = min(
+                best.get(backend, float("inf")), time.perf_counter() - t0
             )
 
-    # One instrumented workspace run for the stage decomposition.
-    was_enabled = perf.counters.enabled
-    perf.reset()
-    perf.enable()
-    try:
-        _run("numpy", intervals, seeds)
-        stages = perf.counters.snapshot()
-    finally:
-        perf.counters.enabled = was_enabled
-        perf.reset()
-
-    free_key = f"{default_backend}+free"
-    speedup = best["legacy"] / best["numpy"]
-    free_speedup = best["legacy"] / best[free_key]
+    stages = _stage_run("numpy", intervals, seeds)
     report = {
         "workload": {
             "sweep": "video_symmetric_spec(alpha, delivery_ratio=0.9)",
@@ -160,13 +137,8 @@ def test_kernel_backends_hotloop():
         "bit_identical_backends": backends,
         "numba_available": jit_kernels.HAS_NUMBA,
         "jit_skipped": jit_skipped,
-        "config": {"rng": "free", "backend": default_backend},
+        "config": {"rng": "free"},
         "best_seconds": {k: round(v, 3) for k, v in best.items()},
-        "speedup_numpy_vs_legacy": round(speedup, 2),
-        "speedup_free_vs_legacy": round(free_speedup, 2),
-        "speedup_free_vs_numpy_batch": round(
-            best["numpy"] / best[free_key], 2
-        ),
         "numpy_stage_seconds": {
             name: round(stat["seconds"], 4) for name, stat in stages.items()
         },
@@ -177,32 +149,22 @@ def test_kernel_backends_hotloop():
         },
     }
     if jit_compiled:
-        report["speedup_jit_vs_legacy"] = round(
-            best["legacy"] / best["jit"], 2
+        report["speedup_jit_vs_numpy"] = round(
+            best["numpy"] / best["jit"], 2
         )
-        # One instrumented jit run: per-stage decomposition (so
-        # tools/check_jit_wins.py can verify the compiled loops beat the
-        # numpy closed forms stage by stage) plus the first-call
-        # compilation cost, which the warm-compile cache amortizes at
-        # kernel bind and which is reported separately so steady-state
-        # timings stay clean.
-        perf.reset()
-        perf.enable()
-        try:
-            jit_kernels._warmed.clear()
-            _run("jit", intervals, seeds)
-            jit_stages = perf.counters.snapshot()
-            report["jit_stage_seconds"] = {
-                name: round(stat["seconds"], 4)
-                for name, stat in jit_stages.items()
-                if name != "jit.warmup"
-            }
-            report["jit_warmup_seconds"] = round(
-                perf.counters.seconds("jit.warmup"), 4
-            )
-        finally:
-            perf.counters.enabled = was_enabled
-            perf.reset()
+        # The first-call compilation cost is amortized by the
+        # warm-compile cache at kernel bind; it is reported separately
+        # so the steady-state stage timings stay clean.
+        jit_kernels._warmed.clear()
+        jit_stages = _stage_run("jit", intervals, seeds)
+        report["jit_stage_seconds"] = {
+            name: round(stat["seconds"], 4)
+            for name, stat in jit_stages.items()
+            if name != "jit.warmup"
+        }
+        report["jit_warmup_seconds"] = round(
+            jit_stages.get("jit.warmup", {}).get("seconds", 0.0), 4
+        )
 
     path = _output_path()
     trajectory = _prior_trajectory(path)
@@ -210,22 +172,10 @@ def test_kernel_backends_hotloop():
         {
             "num_intervals": intervals,
             "num_seeds": NUM_SEEDS,
-            "backend": default_backend,
+            "rng": "free",
             "jit_skipped": jit_skipped,
-            "legacy_seconds": round(best["legacy"], 3),
-            "numpy_seconds": round(best["numpy"], 3),
-            "free_seconds": round(best[free_key], 3),
-            "speedup_free_vs_legacy": round(free_speedup, 2),
+            **{f"{b}_seconds": round(t, 3) for b, t in best.items()},
         }
     )
     report["trajectory"] = trajectory[-12:]  # bounded history
     path.write_text(json.dumps(report, indent=2) + "\n")
-
-    assert speedup > MIN_SPEEDUP, (
-        f"workspace backend only {speedup:.2f}x faster than legacy "
-        f"(legacy {best['legacy']:.2f}s, numpy {best['numpy']:.2f}s)"
-    )
-    assert best["numpy"] / best[free_key] > MIN_FREE_RATIO, (
-        f"free-draw discipline regressed: {best[free_key]:.2f}s vs numpy "
-        f"batch {best['numpy']:.2f}s"
-    )

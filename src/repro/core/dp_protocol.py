@@ -529,7 +529,6 @@ DP_FAMILY_CAPABILITIES = _registry.PolicyCapabilities(
     fusable=True,
     supports_sync_rng=True,
     supports_per_row_params=True,
-    supports_free_rng=True,
     supports_incremental_dp=True,
     supports_topology=True,
     supports_markov_channel=True,

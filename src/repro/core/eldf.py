@@ -117,7 +117,6 @@ ORDERED_SERVICE_CAPABILITIES = _registry.PolicyCapabilities(
     fusable=True,
     supports_sync_rng=True,
     supports_per_row_params=False,
-    supports_free_rng=True,
     supports_topology=True,
     supports_markov_channel=True,
     jit_stages=("serve_rows",),

@@ -136,12 +136,6 @@ class PolicyCapabilities:
         Fused rows may carry per-row policy parameters (e.g. the DP
         kernel's per-row Glauber constants); families without it require
         every fused row to share one configuration.
-    supports_free_rng:
-        The kernel honors the ``rng="free"`` draw discipline (demand-sized
-        blocks from independent free substreams; statistical equivalence
-        instead of bit-identity — see :mod:`repro.sim.rng`).  Families
-        without it degrade to the lockstep batch discipline (the fused
-        runner warns once per sweep).
     supports_incremental_dp:
         The batch kernel maintains its priority state incrementally
         (``dp_state="incremental"``): the permutation, its inverse and
@@ -174,7 +168,6 @@ class PolicyCapabilities:
     fusable: bool = False
     supports_sync_rng: bool = True
     supports_per_row_params: bool = False
-    supports_free_rng: bool = False
     supports_incremental_dp: bool = False
     supports_topology: bool = False
     supports_markov_channel: bool = False

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..core import registry
+from ..sim.rng import normalize_rng_mode
 from .runner import SweepPoint
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "SweepCache",
     "engine_version",
     "fingerprint",
+    "key_rng",
     "policy_fingerprint",
     "resolve_cache",
     "warn_uncacheable",
@@ -107,6 +109,18 @@ def engine_version() -> str:
             digest.update((root / rel).read_bytes())
         _engine_version_cache = digest.hexdigest()[:16]
     return _engine_version_cache
+
+
+def key_rng(engine: str, rng: Optional[str]) -> Optional[str]:
+    """The ``rng`` field of a cell key for ``engine`` run under ``rng``.
+
+    Batch and fused cells run the ``"free"`` draw discipline unless
+    ``rng="sync"`` is asked for, and are keyed ``"free"``; scalar and
+    sync cells carry no ``rng`` field (see :meth:`SweepCache.cell_key`).
+    """
+    if engine == "scalar" or normalize_rng_mode(rng) != "free":
+        return None
+    return "free"
 
 
 # ----------------------------------------------------------------------
@@ -175,15 +189,15 @@ class SweepCache:
     ) -> Optional[str]:
         """Content key for one sweep cell, or ``None`` if uncacheable.
 
-        ``rng`` names a non-default draw discipline (``"free"``); cells
-        run under it are cacheable but keyed distinctly from the default
-        lockstep-batch/sync cells.  ``None`` (the default discipline)
-        omits the field entirely so every pre-existing key is preserved
-        byte for byte.  Shard count is deliberately *not* part of the
-        key: a warm hit replays the stored point no matter how the stack
-        was split, and cold recomputation in a different stack is a fresh
-        sample of the same estimator (the sharded runner re-runs whole
-        shards to keep resume bit-identical at a fixed shard count).
+        ``rng`` names the ``"free"`` draw discipline (see
+        :func:`key_rng`); cells run under it are keyed distinctly from
+        scalar and sync cells.  ``None`` omits the field entirely, so
+        scalar and sync keys keep their layout.  Shard count is
+        deliberately *not* part of the key: a warm hit replays the stored
+        point no matter how the stack was split, and cold recomputation in
+        a different stack is a fresh sample of the same estimator (the
+        sharded runner re-runs whole shards to keep resume bit-identical
+        at a fixed shard count).
         ``topology`` — a :class:`~repro.topology.graph.CellTopology` the
         cell actually runs under (``None``, the single-domain default,
         omits the field so pre-existing keys are preserved) — keys

@@ -98,13 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rng",
-        choices=["sync", "batch", "free"],
+        choices=["sync", "free"],
         default=None,
-        help="draw discipline for the batch/fused engines: 'sync' is "
-        "bit-identical to the scalar engine (slow), 'batch' is the "
-        "default lockstep-vectorized discipline, 'free' lets capable "
-        "kernels draw only what they consume (statistically "
-        "equivalent, fastest)",
+        help="draw discipline for the batch/fused engines: 'free' (the "
+        "default) lets the kernels draw only what they consume "
+        "(statistically equivalent to the scalar engine, fast); 'sync' "
+        "is bit-identical to the scalar engine (slow)",
     )
     parser.add_argument(
         "--shards",
@@ -117,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["numpy", "jit", "legacy"],
+        choices=["numpy", "jit"],
         default=None,
         help="batch kernel backend (default: jit when numba is "
-        "importable, else numpy; all backends are bit-identical)",
+        "importable, else numpy; both are bit-identical)",
     )
     parser.add_argument(
         "--cells",
@@ -151,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "another channel model: 'bernoulli:p', "
         "'ge:p_gb:p_bg[:p_good:p_bad]' (Gilbert-Elliott burst losses), or "
         "'tv:profile:period:amplitude[:base]' with profile one of "
-        "drift/ramp/duty (deterministic time-varying reliability); "
-        "Gilbert-Elliott state needs --rng free to stay vectorized "
+        "drift/ramp/duty (deterministic time-varying reliability) "
         "(sweep figures only; implies --engine fused unless --engine is "
         "given)",
     )
@@ -165,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'constant:count', 'mmpp:on[:off[:p_on[:p_off[:initial]]]]' "
         "(Markov-modulated ON/OFF), or 'pareto:start[:tail[:dur_max"
         "[:peak]]]' (heavy-tailed bursts); requirements are rebuilt from "
-        "the figures' delivery ratios, and MMPP/Pareto state needs "
-        "--rng free to stay vectorized (sweep figures only; implies "
+        "the figures' delivery ratios (sweep figures only; implies "
         "--engine fused unless --engine is given)",
     )
     parser.add_argument(

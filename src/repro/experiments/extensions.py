@@ -156,18 +156,14 @@ def burst_loss_robustness(
     that reliability.  Policies use the stationary reliability in their
     weights, as the paper's "p_n obtained by probing or learning"
     prescription implies.  The default fused engine mega-batches the
-    whole grid (Gilbert-Elliott rows under ``rng="free"``, which is the
-    default here; the Bernoulli reference point fuses into its own
+    whole grid (Gilbert-Elliott rows evolve vectorized under the default
+    ``rng="free"``; the Bernoulli reference point fuses into its own
     stack).  ``seeds`` overrides the replication set (default:
     ``(seed,)``, keeping the legacy scalar-study signature).
     """
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     if seeds is None:
         seeds = (seed,)
-    if rng is None and engine in ("batch", "fused"):
-        # Lockstep draws cannot evolve Gilbert-Elliott state; free-draw
-        # substreams are the statistically-equivalent vectorized path.
-        rng = "free"
     sweep = run_sweep(
         parameter_name="burstiness",
         values=tuple(burstiness),
@@ -258,18 +254,14 @@ def correlated_traffic_robustness(
     process with the *same* mean load but a longer mean dwell time as
     ``burstiness`` grows; ``x = 0`` is the i.i.d. Bernoulli reference at
     that load.  The default fused engine mega-batches the whole grid
-    (MMPP rows evolve vectorized under ``rng="free"``, which is the
-    default here; the Bernoulli reference point fuses into its own
-    stack).  ``seeds`` overrides the replication set (default:
-    ``(seed,)``, keeping the legacy scalar-study signature).
+    (MMPP rows evolve vectorized under the default ``rng="free"``; the
+    Bernoulli reference point fuses into its own stack).  ``seeds``
+    overrides the replication set (default: ``(seed,)``, keeping the
+    legacy scalar-study signature).
     """
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     if seeds is None:
         seeds = (seed,)
-    if rng is None and engine in ("batch", "fused"):
-        # Lockstep draws cannot evolve the modulating chains; free-draw
-        # substreams are the statistically-equivalent vectorized path.
-        rng = "free"
     sweep = run_sweep(
         parameter_name="burstiness",
         values=tuple(burstiness),

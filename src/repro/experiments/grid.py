@@ -18,23 +18,18 @@ Semantics:
 * Per-row results are scattered back into ordinary
   :class:`~repro.experiments.runner.SweepPoint`s using float operations
   chosen to match the per-cell batch runner bit-for-bit given the same
-  draws.  With ``sync_rng=True`` every row is bit-identical to the scalar
-  engine (and hence to per-cell batch sync runs); in the default mode each
-  row is an independent sample of the same distribution, drawn from
-  ``"fused"``-tagged batch streams.
+  draws.  With ``rng="sync"`` every row is bit-identical to the scalar
+  engine (and hence to per-cell batch sync runs); in the default
+  ``rng="free"`` mode each row is an independent sample of the same
+  distribution, drawn from ``"fused"``-tagged free streams.
 * Cells whose spec/policy cannot join a mega-batch — no batch kernel
-  (FCSMA, DCF, frame-CSMA), stateful channels or arrivals, or per-row
-  parameters the kernels cannot stack — **fall back automatically** to
-  the per-cell runner (``engine="batch"``, which itself degrades to
-  scalar), so ``run_sweep_fused`` accepts anything ``run_sweep`` does.
+  (FCSMA, DCF, frame-CSMA), components without vectorized state, or
+  per-row parameters the kernels cannot stack — **fall back
+  automatically** to the per-cell runner (``engine="batch"``, which
+  itself degrades to scalar), so ``run_sweep_fused`` accepts anything
+  ``run_sweep`` does.
 * Pass ``cache=True`` (or a directory / :class:`SweepCache`) to memoize
   finished cells on disk; see :mod:`repro.experiments.cache`.
-* ``rng="free"`` switches capable policy families to independently
-  derived free-draw substreams (statistically equivalent, not
-  bit-identical, to the default lockstep-batch discipline); families
-  that do not declare :attr:`~repro.core.registry.PolicyCapabilities.
-  supports_free_rng` degrade to the batch discipline with one
-  ``UserWarning`` per sweep.
 * ``shards=K`` splits the grid into K row-contiguous shards dispatched
   through the fault-tolerant process orchestrator of
   :mod:`repro.experiments.parallel`, so a mega-batch sweep uses every
@@ -61,7 +56,7 @@ from ..sim.batch_sim import (
     supports_batch_engine,
 )
 from ..sim.rng import normalize_rng_mode
-from .cache import SweepCache, resolve_cache, warn_uncacheable
+from .cache import SweepCache, key_rng, resolve_cache, warn_uncacheable
 from .configs import PolicyFactory
 from .faults import (
     CellFailure,
@@ -87,7 +82,7 @@ from .runner import (
 
 __all__ = ["run_sweep_fused", "FUSED_STREAM_TAG"]
 
-#: Batch-RNG namespace tag for fused mega-batches (see
+#: Free-RNG namespace tag for fused mega-batches (see
 #: :class:`~repro.sim.rng.BatchRngBundle`).
 FUSED_STREAM_TAG = "fused"
 
@@ -132,26 +127,6 @@ def _group_signature(cell: _Cell) -> Tuple:
     )
 
 
-def _supports_free(policy: object) -> bool:
-    """Whether ``policy``'s registered family declares ``supports_free_rng``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_free_rng
-    )
-
-
-def _effective_rng(cell: _Cell, rng_mode: str) -> str:
-    """The draw discipline this cell actually runs under.
-
-    ``rng="free"`` is a per-family capability: cells of families that do
-    not declare it degrade to the default lockstep-batch discipline (the
-    caller warns once per sweep) rather than failing the whole grid.
-    """
-    if rng_mode == "free" and not _supports_free(cell.policy):
-        return "batch"
-    return rng_mode
-
-
 def _partition(
     cells: List[_Cell], rng_mode: str
 ) -> Tuple[Dict[Tuple, List[_Cell]], List[_Cell]]:
@@ -160,9 +135,7 @@ def _partition(
     Fusability is a declared capability (the registry's ``fusable`` flag,
     via supports_batch_engine) — scalar-only families (DCF, FCSMA,
     frame-CSMA) land in the fallback path declaratively rather than as
-    the implicit ``else`` of a type switch.  The group key includes the
-    cell's *effective* draw discipline so free-draw groups never share a
-    stack (or lockstep draws) with degraded batch-discipline groups.
+    the implicit ``else`` of a type switch.
     """
     fused_groups: Dict[Tuple, List[_Cell]] = {}
     fallback: List[_Cell] = []
@@ -171,11 +144,10 @@ def _partition(
             continue
         descriptor = registry.descriptor_for(cell.policy)
         fusable = descriptor is not None and descriptor.capabilities.fusable
-        eff = _effective_rng(cell, rng_mode)
         if fusable and supports_batch_engine(
-            cell.spec, cell.policy, sync_rng=rng_mode == "sync", rng=eff
+            cell.spec, cell.policy, rng=rng_mode
         ):
-            key = (_group_signature(cell), eff)
+            key = _group_signature(cell)
             fused_groups.setdefault(key, []).append(cell)
         else:
             fallback.append(cell)
@@ -194,7 +166,7 @@ def _scatter_points(
     delivery/collision sums make the means exact, and the per-cell row
     slices feed ``mean()``/``std()`` the same values in the same order, so
     a fused cell equals its per-cell counterpart bit-for-bit whenever the
-    underlying draws match (``sync_rng=True``).
+    underlying draws match (``rng="sync"``).
     """
     totals_all = stats.total_deficiency()  # (R,)
     collisions_all = stats.total_collisions().astype(float)  # (R,)
@@ -375,9 +347,9 @@ def _simulate_cells(
     fallback.extend(unfusable)
     built: List[Tuple[List[_Cell], BatchIntervalSimulator]] = []
     with perf.stage("fused.build"):
-        for (_, eff), group_cells in fused_groups.items():
+        for group_cells in fused_groups.values():
             sim = _build_fused_sim(
-                group_cells, seeds, eff, validate, backend, stream_tag,
+                group_cells, seeds, rng_mode, validate, backend, stream_tag,
                 dp_state=dp_state,
             )
             if sim is None:
@@ -407,7 +379,7 @@ class _ShardSpec:
     ``members`` pins the (value, policy label) cells of the shard; the
     worker rebuilds specs and policies from the sweep's builder, exactly
     like :mod:`repro.experiments.parallel` cells.  ``index``/``count``
-    derive the shard's batch-RNG stream tag, making every draw a pure
+    derive the shard's free-RNG stream tag, making every draw a pure
     function of (seeds, shard count, shard index) — reruns and resumes
     at the same shard count are bit-identical.
     """
@@ -466,7 +438,7 @@ def _run_shard(
     for cell in fallback:
         cell.point = run_single(
             cell.spec, cell.factory, num_intervals, seeds, groups,
-            engine="batch",
+            engine="batch", rng=rng_mode,
         )
     return shard, [(c.value, c.label, c.point) for c in cells]
 
@@ -698,21 +670,6 @@ def _run_sweep_topology(
     ]
     if degraded:
         _warn_topology_degrade(degraded, stacklevel=4)
-    free_degraded: List[str] = []
-    if rng_mode == "free":
-        free_degraded = [
-            label
-            for label, factory in policies.items()
-            if not _supports_free(factory())
-        ]
-        if free_degraded:
-            warnings.warn(
-                "rng='free' is not declared (supports_free_rng) by policy "
-                f"families: {', '.join(free_degraded)}; those cells run "
-                "under the default batch draw discipline instead",
-                UserWarning,
-                stacklevel=4,
-            )
     failures: List[CellFailure] = []
     uncacheable: List[str] = []
     result = SweepResult(parameter_name=parameter_name, values=list(values))
@@ -722,7 +679,6 @@ def _run_sweep_topology(
         for label, factory in policies.items():
             policy = factory()
             capable = label not in degraded
-            eff_rng = "batch" if label in free_degraded else rng_mode
             eff_dp = (
                 dp_state if _policy_supports_incremental(policy) else None
             )
@@ -736,7 +692,7 @@ def _run_sweep_topology(
                     num_intervals=num_intervals,
                     groups=groups_t,
                     sync_rng=rng_mode == "sync",
-                    rng="free" if eff_rng == "free" else None,
+                    rng=key_rng("fused", rng_mode),
                     topology=topo if capable else None,
                 )
                 if key is None:
@@ -747,18 +703,17 @@ def _run_sweep_topology(
             if point is None:
 
                 def _compute(spec=spec, policy=policy, factory=factory,
-                             topo=topo, capable=capable, eff_rng=eff_rng,
-                             eff_dp=eff_dp):
+                             topo=topo, capable=capable, eff_dp=eff_dp):
                     if capable:
                         return _run_single_topology(
                             spec, policy, num_intervals, seeds, groups,
-                            topo, backend=backend, rng=eff_rng,
+                            topo, backend=backend, rng=rng_mode,
                             dp_state=eff_dp, validate=validate,
                             shards=shards,
                         )
                     return run_single(
                         spec, factory, num_intervals, seeds, groups,
-                        engine="batch", backend=backend, rng=eff_rng,
+                        engine="batch", backend=backend, rng=rng_mode,
                         dp_state=dp_state,
                     )
 
@@ -819,17 +774,14 @@ def run_sweep_fused(
     sync_rng:
         Drive every row with scalar-identical streams (bit-exact against
         the scalar and per-cell batch engines, but slow) instead of the
-        default vectorized batch streams.
+        default free streams; the same as ``rng="sync"``.
     rng:
         Draw discipline (:data:`~repro.sim.rng.RNG_MODES`).  ``None``
-        keeps the default (lockstep batch, or sync when ``sync_rng``);
-        ``"free"`` lets capable kernels draw only what they consume from
-        independently derived substreams — statistically equivalent to
-        (but not bit-identical with) the batch discipline, and faster.
-        Families without
-        :attr:`~repro.core.registry.PolicyCapabilities.supports_free_rng`
-        degrade to the batch discipline with one ``UserWarning`` per
-        sweep.  Free-rng cells are cacheable but keyed distinctly.
+        means ``"free"`` (or ``"sync"`` when ``sync_rng``): kernels draw
+        only what they consume from independently derived substreams —
+        statistically equivalent to (but not bit-identical with) the
+        scalar engine, and fast.  Free and sync cells are cached under
+        distinct keys.
     shards:
         Split the grid into this many row-contiguous shards and run them
         as separate mega-batches through the fault-tolerant process
@@ -913,96 +865,12 @@ def run_sweep_fused(
                 )
             )
 
-    if rng_mode == "free":
-        degraded: List[str] = []
-        for cell in cells:
-            if not _supports_free(cell.policy) and cell.label not in degraded:
-                degraded.append(cell.label)
-        if degraded:
-            warnings.warn(
-                "rng='free' is not declared (supports_free_rng) by policy "
-                f"families: {', '.join(degraded)}; those cells run under "
-                "the default batch draw discipline instead",
-                UserWarning,
-                stacklevel=2,
-            )
-
-    if rng_mode != "sync":
-        chan_degraded: List[str] = []
-        chan_names: List[str] = []
-        for cell in cells:
-            ch = cell.spec.channel
-            descriptor = registry.descriptor_for(cell.policy)
-            fusable = (
-                descriptor is not None and descriptor.capabilities.fusable
-            )
-            if (
-                ch.has_state
-                and ch.state_uses_rng
-                and _effective_rng(cell, rng_mode) != "free"
-                # Only warn where free draws would actually fuse the
-                # cell; families that fall back for other reasons (no
-                # batch kernel, capability gaps) get the generic
-                # degradation messages instead.
-                and fusable
-                and supports_batch_engine(cell.spec, cell.policy, rng="free")
-            ):
-                if cell.label not in chan_degraded:
-                    chan_degraded.append(cell.label)
-                if type(ch).__name__ not in chan_names:
-                    chan_names.append(type(ch).__name__)
-        if chan_degraded:
-            warnings.warn(
-                f"{'/'.join(chan_names)} state cannot evolve under a "
-                "lockstep batch draw discipline; these cells fall back to "
-                f"the scalar engine: {', '.join(chan_degraded)}.  Pass "
-                "rng='free' to keep them vectorized (statistically "
-                "equivalent)",
-                UserWarning,
-                stacklevel=2,
-            )
-        arr_degraded: List[str] = []
-        arr_names: List[str] = []
-        for cell in cells:
-            arr = cell.spec.arrivals
-            descriptor = registry.descriptor_for(cell.policy)
-            fusable = (
-                descriptor is not None and descriptor.capabilities.fusable
-            )
-            if (
-                arr.has_state
-                and arr.state_uses_rng
-                and _effective_rng(cell, rng_mode) != "free"
-                # Same scoping as the channel warning: only where free
-                # draws would actually fuse the cell.
-                and fusable
-                and supports_batch_engine(cell.spec, cell.policy, rng="free")
-            ):
-                if cell.label not in arr_degraded:
-                    arr_degraded.append(cell.label)
-                if type(arr).__name__ not in arr_names:
-                    arr_names.append(type(arr).__name__)
-        if arr_degraded:
-            warnings.warn(
-                f"{'/'.join(arr_names)} state cannot evolve under a "
-                "lockstep batch draw discipline; these cells fall back to "
-                f"the scalar engine: {', '.join(arr_degraded)}.  Pass "
-                "rng='free' to keep them vectorized (statistically "
-                "equivalent)",
-                UserWarning,
-                stacklevel=2,
-            )
-
     # Cache lookups first: hit cells never touch an engine.  Cells whose
     # policy (or spec) has no registered fingerprint simply run uncached
     # — announced once per sweep, never a failure.
     if store is not None:
         uncacheable: List[str] = []
         for cell in cells:
-            # Only cells that actually run free draws get the distinct
-            # rng key; degraded cells produce default-discipline samples
-            # and share the default key.
-            eff = _effective_rng(cell, rng_mode)
             cell.key = store.cell_key(
                 spec=cell.spec,
                 policy=cell.policy,
@@ -1010,7 +878,7 @@ def run_sweep_fused(
                 num_intervals=num_intervals,
                 groups=groups,
                 sync_rng=rng_mode == "sync",
-                rng="free" if eff == "free" else None,
+                rng=key_rng("fused", rng_mode),
             )
             if cell.key is not None:
                 cell.point = store.get(cell.key)
@@ -1038,48 +906,40 @@ def run_sweep_fused(
         # draw sharing is value-neutral, so results are unchanged).
         fused_groups, fallback = _partition(cells, rng_mode)
         with perf.stage("fused.run"):
-            for (_, eff), group_cells in fused_groups.items():
+            for group_cells in fused_groups.values():
                 _run_fused_group_with_faults(
-                    group_cells, seeds, eff, validate, backend,
+                    group_cells, seeds, rng_mode, validate, backend,
                     num_intervals, groups, faults, failures, fallback,
                     dp_state=dp_state,
                 )
 
-    with warnings.catch_warnings():
-        # The channel-degradation advisory was already aggregated once
-        # above; run_single would repeat it per fallback cell.
-        warnings.filterwarnings(
-            "ignore",
-            message=".*state cannot evolve under a lockstep.*",
-            category=UserWarning,
-        )
-        for cell in fallback:
-            if faults is None:
-                cell.point = run_single(
-                    cell.spec, cell.factory, num_intervals, seeds, groups,
-                    engine="batch",
-                )
-            else:
+    for cell in fallback:
+        if faults is None:
+            cell.point = run_single(
+                cell.spec, cell.factory, num_intervals, seeds, groups,
+                engine="batch", rng=rng_mode,
+            )
+        else:
 
-                def _attempt(attempt, cell=cell):
-                    fire_fault_hooks(cell.value, cell.label, attempt)
-                    return run_single(
-                        cell.spec, cell.factory, num_intervals, seeds,
-                        groups, engine="batch",
-                    )
-
-                point = call_with_retries(
-                    _attempt,
-                    value=cell.value,
-                    label=cell.label,
-                    seeds=seeds,
-                    faults=faults,
-                    failures=failures,
+            def _attempt(attempt, cell=cell):
+                fire_fault_hooks(cell.value, cell.label, attempt)
+                return run_single(
+                    cell.spec, cell.factory, num_intervals, seeds,
+                    groups, engine="batch", rng=rng_mode,
                 )
-                if point is None:  # permanent best-effort failure
-                    cell.failed = True
-                    point = nan_point(cell.label, groups)
-                cell.point = point
+
+            point = call_with_retries(
+                _attempt,
+                value=cell.value,
+                label=cell.label,
+                seeds=seeds,
+                faults=faults,
+                failures=failures,
+            )
+            if point is None:  # permanent best-effort failure
+                cell.failed = True
+                point = nan_point(cell.label, groups)
+            cell.point = point
 
     if store is not None:
         for cell in cells:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import registry
 from ..core.requirements import NetworkSpec
-from .cache import SweepCache, resolve_cache, warn_uncacheable
+from .cache import SweepCache, key_rng, resolve_cache, warn_uncacheable
 from .configs import PolicyFactory
 from .faults import (
     CellFailure,
@@ -444,6 +444,7 @@ def run_sweep_parallel(
                     groups=groups_t,
                     sync_rng=False,
                     engine=key_engine,
+                    rng=key_rng(key_engine, None),
                 )
                 if key is None:
                     if label not in uncacheable:

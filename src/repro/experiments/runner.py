@@ -104,14 +104,6 @@ class SweepResult:
         return seen
 
 
-def _policy_supports_free(policy: object) -> bool:
-    """Whether ``policy``'s registered family declares ``supports_free_rng``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_free_rng
-    )
-
-
 def _policy_supports_incremental(policy: object) -> bool:
     """Whether the family declares ``supports_incremental_dp``."""
     descriptor = registry.descriptor_for(policy)
@@ -155,32 +147,6 @@ def _warn_topology_degrade(labels: Sequence[str], stacklevel: int = 3) -> None:
         "topology= is ignored for policy families without the "
         f"supports_topology capability: {', '.join(labels)}; those cells "
         "run single-domain exactly as they would without a topology",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _warn_channel_degrade(
-    spec: NetworkSpec, labels: Sequence[str], stacklevel: int = 3
-) -> None:
-    warnings.warn(
-        f"{type(spec.channel).__name__} state cannot evolve under a "
-        "lockstep batch draw discipline; these cells fall back to the "
-        f"scalar engine: {', '.join(labels)}.  Pass rng='free' to keep "
-        "them vectorized (statistically equivalent)",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _warn_arrival_degrade(
-    spec: NetworkSpec, labels: Sequence[str], stacklevel: int = 3
-) -> None:
-    warnings.warn(
-        f"{type(spec.arrivals).__name__} state cannot evolve under a "
-        "lockstep batch draw discipline; these cells fall back to the "
-        f"scalar engine: {', '.join(labels)}.  Pass rng='free' to keep "
-        "them vectorized (statistically equivalent)",
         UserWarning,
         stacklevel=stacklevel,
     )
@@ -325,9 +291,8 @@ def run_single(
     there is no grid to fuse.  ``backend`` selects the batch kernel
     backend (ignored by the scalar engine); all backends are
     bit-identical.  ``rng`` selects the batch draw discipline
-    (:data:`~repro.sim.rng.RNG_MODES`); ``"free"`` degrades to the
-    default batch discipline for families without ``supports_free_rng``,
-    and is rejected on the scalar engine.  ``dp_state`` selects the
+    (:data:`~repro.sim.rng.RNG_MODES`; ``None`` is ``"free"``) and is
+    rejected on the scalar engine.  ``dp_state`` selects the
     DP-family priority-state maintenance mode
     (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`; batch/fused
     engines only, bit-identical either way).  ``topology`` — a
@@ -352,9 +317,6 @@ def run_single(
         )
     if engine in ("batch", "fused"):
         policy = factory()
-        eff = rng
-        if rng == "free" and not _policy_supports_free(policy):
-            eff = None  # degrade to the default batch discipline
         eff_dp = dp_state
         if dp_state is not None and not _policy_supports_incremental(policy):
             # A sweep-level dp_state request addresses the DP family;
@@ -366,21 +328,14 @@ def run_single(
                 return _run_single_topology(
                     spec, policy, num_intervals, seeds, groups,
                     _resolve_topology(topology, spec),
-                    backend=backend, rng=eff, dp_state=eff_dp,
+                    backend=backend, rng=rng, dp_state=eff_dp,
                 )
             _warn_topology_degrade([registry.policy_label(policy)])
-        if supports_batch_engine(spec, policy, rng=eff):
+        if supports_batch_engine(spec, policy, rng=rng):
             return _run_single_batch(
-                spec, policy, num_intervals, seeds, groups, backend, eff,
+                spec, policy, num_intervals, seeds, groups, backend, rng,
                 eff_dp,
             )
-        if eff != "free" and supports_batch_engine(spec, policy, rng="free"):
-            # The only blocker was the lockstep discipline: say so once
-            # instead of silently crawling through the scalar engine.
-            if spec.channel.has_state and spec.channel.state_uses_rng:
-                _warn_channel_degrade(spec, [registry.policy_label(policy)])
-            elif spec.arrivals.has_state and spec.arrivals.state_uses_rng:
-                _warn_arrival_degrade(spec, [registry.policy_label(policy)])
     totals: List[float] = []
     group_totals: List[np.ndarray] = []
     collisions: List[float] = []
@@ -518,7 +473,7 @@ def run_sweep(
             "engine is single-domain only"
         )
     # Local import: cache.py imports SweepPoint from this module.
-    from .cache import resolve_cache, warn_uncacheable
+    from .cache import key_rng, resolve_cache, warn_uncacheable
 
     policies = registry.resolve_policies(policies)
     store = resolve_cache(cache)
@@ -544,15 +499,6 @@ def run_sweep(
             key = None
             point = None
             if store is not None:
-                # Free-draw cells are keyed distinctly — but only the
-                # cells that actually run free draws; degraded families
-                # produce default-discipline samples under the default
-                # key.
-                key_rng = (
-                    "free"
-                    if rng == "free" and _policy_supports_free(factory())
-                    else None
-                )
                 key = store.cell_key(
                     spec=spec,
                     policy=factory(),
@@ -561,7 +507,7 @@ def run_sweep(
                     groups=groups_t,
                     sync_rng=rng == "sync",
                     engine=engine,
-                    rng=key_rng,
+                    rng=key_rng(engine, rng),
                     topology=cell_topo,
                 )
                 if key is None:

@@ -515,8 +515,8 @@ class TimeVaryingReliability(ChannelModel):
     * ``"drift"`` — raised cosine ``0.5 - 0.5 cos(2 pi t / period)``:
       smooth mobility-style drift out and back.
 
-    Evolution consumes **no** randomness, so the schedule runs under
-    every draw discipline (including lockstep batch) on every engine.
+    Evolution consumes **no** randomness, so the schedule is the same
+    under every draw discipline on every engine.
     ``reliabilities`` reports the time-averaged ``p_n`` over one period.
     """
 

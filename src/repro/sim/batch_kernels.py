@@ -11,13 +11,14 @@ Kernels exist for the policies that dominate benchmark time:
   ``f(d^+) p``;
 * :class:`BatchRoundRobinKernel` and :class:`BatchStaticPriorityKernel`.
 
-The shared primitive is :func:`solve_ordered_service`: given pre-drawn
-geometric retry counts, it resolves the whole "serve links in priority
-order until time runs out" recursion with cumulative sums instead of a
-per-link loop.  This works because the attempt ceiling is non-increasing
-along the service order, so once one link is truncated every later link is
-starved — exactly the scalar engine's semantics (see the derivation in the
-function docstring).
+The shared primitive is the ordered-service solver
+(:meth:`BatchPolicyKernel._solve_ordered_ws`): given pre-drawn geometric
+retry counts, it resolves the whole "serve links in priority order until
+time runs out" recursion with prefix sums instead of a per-link loop.
+This works because the attempt ceiling is non-increasing along the
+service order, so once one link is truncated every later link is starved
+— exactly the scalar engine's semantics (see the derivation in the
+method docstring).
 
 Two implementation notes that matter for throughput at the target scale
 (tens of seeds, tens of links — i.e. *small* arrays, where NumPy's Python
@@ -28,7 +29,7 @@ wrapper cost rivals its C time):
   whose index-building wrappers dominate at this size;
 * random draws are made in chunks of :data:`DRAW_CHUNK` intervals per
   stream and sliced per interval, amortizing the Generator call overhead.
-  Chunking only re-orders consumption *within* a batch stream, which is a
+  Chunking only re-orders consumption *within* a free stream, which is a
   private namespace — reproducibility (same seeds, same trajectory) is
   unaffected, and chunk boundaries are independent of how ``run`` calls
   are split because the caches live on the kernel.
@@ -42,7 +43,7 @@ matrices and rows may come from *different sweep cells* (different
 Glauber bias constants via ``row_policies``) as long as ``N``, the timing,
 and the policy family match.
 
-Every kernel also has a ``sync_rng`` mode in which it drives one *scalar*
+Every kernel also has a ``rng="sync"`` mode in which it drives one *scalar*
 policy clone per seed with that seed's scalar-identical random streams
 (:attr:`~repro.sim.rng.BatchRngBundle.bundles`).  That mode is the
 cross-validation bridge: it is bit-identical to the scalar engine by
@@ -56,11 +57,10 @@ import copy
 import dataclasses
 import os
 import warnings
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from ..core.round_robin import RoundRobinPolicy
 from ..core.static_priority import StaticPriorityPolicy
 from ..phy.channel import ChannelStateRows
 from . import jit_kernels, perf
-from .rng import BatchRngBundle, draw_chunk_depth, normalize_rng_mode
+from .rng import BatchRngBundle, normalize_rng_mode
 from .spec_stack import SpecStack
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "BatchELDFKernel",
     "BatchRoundRobinKernel",
     "BatchStaticPriorityKernel",
-    "solve_ordered_service",
     "make_batch_kernel",
     "has_batch_kernel",
     "resolve_backend",
@@ -95,13 +94,9 @@ __all__ = [
     "DRAW_CHUNK",
 ]
 
-#: Intervals' worth of randomness drawn per Generator call in batch mode.
-DRAW_CHUNK = 64
-
-#: Default chunk depth under the ``rng="free"`` discipline.  Free mode has
-#: no lockstep-schedule constraint, so it amortizes Generator call
-#: overhead over deeper blocks (``REPRO_DRAW_CHUNK`` still overrides).
-FREE_DRAW_CHUNK = 256
+#: Intervals' worth of randomness drawn per Generator call.  Arrival
+#: blocks use the same depth (see ``batch_sim._BatchArrivalDraws``).
+DRAW_CHUNK = 256
 
 #: Interval-resolution backends a kernel can bind with.
 #:
@@ -116,17 +111,15 @@ FREE_DRAW_CHUNK = 256
 #:   with ``prange`` row-parallelism on large stacks.  An explicit
 #:   ``backend="jit"`` falls back to ``"numpy"`` with a
 #:   :class:`RuntimeWarning` when numba is not importable.
-#: * ``"legacy"`` — the pre-workspace implementation, preserved verbatim
-#:   as the benchmark baseline and the reference for bit-identity tests.
 #:
-#: All three produce bit-identical outcomes for the same
+#: Both produce bit-identical outcomes for the same
 #: :class:`~repro.sim.rng.BatchRngBundle` (proven in
 #: ``tests/integration/test_kernel_backends.py``): they consume the same
 #: generator values in the same order, and every derived quantity is a
 #: small exact integer carried in float32/float64 far below the mantissa
 #: limit, which makes the arithmetic independent of summation order and
 #: of whether a stage runs vectorized or sequentially.
-KERNEL_BACKENDS = ("numpy", "jit", "legacy")
+KERNEL_BACKENDS = ("numpy", "jit")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -192,16 +185,14 @@ def resolve_dp_state(
     dp_state: Optional[str] = None,
     *,
     supports_incremental: bool = False,
-    workspace: bool = True,
 ) -> str:
     """Normalize a DP priority-state request to one of :data:`DP_STATE_MODES`.
 
     ``None`` defers to the environment (``REPRO_DP_STATE``) and then to
     the registry-capability default: ``"incremental"`` whenever the
-    policy family declares ``supports_incremental_dp`` and the kernel is
-    on a workspace backend, else ``"dense"``.  An *explicit*
-    ``"incremental"`` request is strict — it raises :class:`ValueError`
-    when the family or backend cannot honor it — while an
+    policy family declares ``supports_incremental_dp``, else ``"dense"``.
+    An *explicit* ``"incremental"`` request is strict — it raises
+    :class:`ValueError` when the family cannot honor it — while an
     environment-sourced request degrades silently to ``"dense"`` (the
     variable is a global preference and must not break kernels that never
     had an incremental path).
@@ -216,28 +207,18 @@ def resolve_dp_state(
     if not explicit:
         dp_state = os.environ.get("REPRO_DP_STATE", "") or None
         if dp_state is None:
-            return (
-                "incremental"
-                if (supports_incremental and workspace)
-                else "dense"
-            )
+            return "incremental" if supports_incremental else "dense"
     dp_state = str(dp_state).lower()
     if dp_state not in DP_STATE_MODES:
         raise ValueError(
             f"unknown dp_state {dp_state!r}; choose from {DP_STATE_MODES}"
         )
-    if dp_state == "incremental" and not (supports_incremental and workspace):
+    if dp_state == "incremental" and not supports_incremental:
         if explicit:
-            if not supports_incremental:
-                raise ValueError(
-                    "dp_state='incremental' requires a policy family with "
-                    "the supports_incremental_dp capability (see "
-                    "repro.core.registry.PolicyCapabilities)"
-                )
             raise ValueError(
-                "dp_state='incremental' is not available on the legacy "
-                "backend (it is frozen as the bit-exact baseline); use "
-                "backend='numpy' or 'jit'"
+                "dp_state='incremental' requires a policy family with "
+                "the supports_incremental_dp capability (see "
+                "repro.core.registry.PolicyCapabilities)"
             )
         return "dense"
     return dp_state
@@ -267,108 +248,15 @@ def drain_totals(needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
     """Per-link total attempts needed to drain the backlog: ``(S, N)``.
 
     This is ``needed_cum[..., backlog - 1]`` (zero for empty buffers) in
-    the draw dtype.  It depends only on the channel draws and the
-    arrivals, not on any policy decision, so lockstep simulators sharing
-    draw blocks also share this plane (``batch_sim._FanoutDraws``).
+    the draw dtype — the reference the chunked draws' flat gather
+    (:meth:`_ChunkedChannelDraws.totals`) must match.  It depends only on
+    the channel draws and the arrivals, not on any policy decision, so
+    lockstep simulators sharing draw blocks also share this plane
+    (``batch_sim._FanoutDraws``).
     """
     idx = np.maximum(backlog - 1, 0)
     tot = np.take_along_axis(needed_cum, idx[:, :, None], axis=2)[:, :, 0]
     return np.where(backlog > 0, tot, needed_cum.dtype.type(0))
-
-
-def solve_ordered_service(
-    order: np.ndarray,
-    backlog: np.ndarray,
-    needed_cum: np.ndarray,
-    caps: np.ndarray,
-    tot_link: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve sequential in-order service for all replications at once.
-
-    Parameters
-    ----------
-    order:
-        ``(S, N)`` — link ids in service order (a permutation per row).
-    backlog:
-        ``(S, N)`` — packets buffered per *link*.
-    needed_cum:
-        ``(S, N, A)`` — per link, cumulative attempts needed to deliver
-        its first ``t+1`` packets (cumsum of geometric draws).  May be an
-        integer or float array; float entries must hold exact integers
-        (:class:`_ChunkedChannelDraws` guarantees this).
-    caps:
-        ``(S, N)`` int64 — per service *position*, the absolute attempt
-        ceiling: the link in that position may finish at most
-        ``caps - attempts_used_before_it`` attempts before its deadline.
-        **Must be non-increasing along axis 1** (true for both constant
-        attempt budgets and backoff-staircase budgets, since backoffs grow
-        along the service order).
-
-    Returns ``(delivered, attempts, attempts_pos)``: ``delivered`` and
-    ``attempts`` are ``(S, N)`` int64 indexed by *link*; ``attempts_pos``
-    is the same attempts indexed by service *position* (callers need both
-    views, and the position view is a by-product here).
-
-    Why no loop is needed: with ``G`` the cumulative attempts *needed* by
-    the first ``j`` links, position ``j`` receives
-    ``clip(caps_j - G_{j-1}, 0, needed_j)`` attempts.  This matches the
-    sequential recursion because attempts-used equals attempts-needed for
-    every link until the first truncated link, and after a truncation the
-    non-increasing ceiling starves all later links — the same "budget
-    exhausted" outcome the scalar engine produces.  Packet ``t`` of the
-    link in position ``j`` is delivered iff ``G_{j-1} + needed_cum[t] <=
-    caps_j``.
-
-    The per-packet scan only runs for *partially served* links — positive
-    budget short of a full drain.  A drained link delivers its whole
-    backlog and a starved one delivers nothing, no packet data needed, and
-    the non-increasing cap leaves at most one partial link per row (the
-    marginal link at the truncation point), so the scan touches ``O(S*A)``
-    elements instead of the full ``(S, N, A)`` block.
-
-    ``tot_link`` — the per-link total attempts needed to drain (cum at
-    slot ``backlog - 1``, zero where the backlog is empty) — is recomputed
-    when omitted; callers that share draw blocks across lockstep
-    simulators pass the cached plane instead (see
-    ``batch_sim.share_batch_draws``).
-    """
-    S = order.shape[0]
-    rows = np.arange(S)[:, None]
-    work = needed_cum.dtype
-
-    # Total attempts needed to fully drain each link's buffer (its cum at
-    # slot backlog-1), then reorder that (S, N) plane into service order.
-    if tot_link is None:
-        tot_link = drain_totals(needed_cum, backlog)
-    tot_pos = tot_link[rows, order]
-
-    cum_needed = np.cumsum(tot_pos, axis=1)
-    # Attempts left for each position; computed in the draw dtype so every
-    # comparison against the draw block stays in one dtype.
-    budget = caps.astype(work) - (cum_needed - tot_pos)
-    attempts_pos = np.clip(budget, 0, tot_pos)
-
-    budget_link = np.empty_like(budget)
-    budget_link[rows, order] = budget
-    full = budget_link >= tot_link
-    delivered = np.where(full, backlog, 0)
-    partial = (budget_link > 0) & ~full
-    if partial.any():
-        # needed_cum is increasing along the packet axis, so the number of
-        # slots with cum <= budget counts deliverable packets; slots past
-        # the backlog have cum >= tot > budget and drop out on their own.
-        rp, cp = np.nonzero(partial)
-        cum_sel = needed_cum[rp, cp]
-        within = (cum_sel <= budget_link[rp, cp, None]).sum(axis=1)
-        delivered[rp, cp] = np.minimum(within, backlog[rp, cp])
-
-    attempts = np.empty_like(budget_link)
-    attempts[rows, order] = attempts_pos
-    return (
-        delivered,
-        attempts.astype(np.int64),
-        attempts_pos.astype(np.int64),
-    )
 
 
 class _ChunkedChannelDraws:
@@ -405,7 +293,6 @@ class _ChunkedChannelDraws:
         a_max: int,
         *,
         depth: Optional[int] = None,
-        fast: bool = True,
         state: Optional[ChannelStateRows] = None,
     ):
         probs = np.asarray(success_probs, dtype=float)
@@ -447,12 +334,6 @@ class _ChunkedChannelDraws:
         self._dtype = dtype
         self._cache: Optional[np.ndarray] = None
         self._pos = self._depth
-        # ``fast=False`` keeps the seed engine's exact refill/totals code
-        # (``np.cumsum`` chunks, fresh ``drain_totals`` planes) so the
-        # legacy backend stays a faithful performance baseline; the
-        # workspace backends use the in-place accumulate and the gather
-        # below — same values either way.
-        self._fast = bool(fast)
         # Drain-totals gather scratch, reused every interval: the flat
         # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
         # block is ``(s * N + l) * A + (backlog - 1)``.
@@ -501,8 +382,6 @@ class _ChunkedChannelDraws:
         """
         if self._lazy:
             return
-        if not self._fast:
-            raise RuntimeError("lazy channel draws require the fast engine")
         if self._state is not None:
             # Lazy consumers scale gathered rows by a *static* (S, N)
             # plane (scale_rows); a state process makes that plane
@@ -531,20 +410,14 @@ class _ChunkedChannelDraws:
             if perf.counters.enabled:
                 t0 = perf.clock()
             allocs = 0
-            if self._fast:
-                # Refill into one persistent buffer — the previous chunk
-                # is fully consumed by the time we get here, and the
-                # generated stream does not depend on the destination.
-                if self._gen_buf is None:
-                    self._gen_buf = np.empty(self._shape, dtype=self._dtype)
-                    allocs = 1
-                draws = self._gen_buf
-                rng.standard_exponential(dtype=self._dtype, out=draws)
-            else:
-                draws = rng.standard_exponential(
-                    self._shape, dtype=self._dtype
-                )
-                allocs = 2  # the draw block plus the cumsum below
+            # Refill into one persistent buffer — the previous chunk is
+            # fully consumed by the time we get here, and the generated
+            # stream does not depend on the destination.
+            if self._gen_buf is None:
+                self._gen_buf = np.empty(self._shape, dtype=self._dtype)
+                allocs = 1
+            draws = self._gen_buf
+            rng.standard_exponential(dtype=self._dtype, out=draws)
             if self._lazy:
                 # Raw mode: generation is the whole refill; consumers
                 # transform the rows they gather.
@@ -571,18 +444,15 @@ class _ChunkedChannelDraws:
                     np.multiply(draws, self._scale, out=draws)
                 np.ceil(draws, out=draws)
                 np.maximum(draws, 1.0, out=draws)
-                if self._fast:
-                    # Running cumsum along the arrival axis, in place.
-                    # The axis is tiny (A slots), so A-1 whole-cube
-                    # slice adds beat ``np.cumsum``'s short-segment scan
-                    # by ~5x at this shape — identical values, every
-                    # partial sum an exact small integer.
-                    flat = draws.reshape(-1, self._shape[-1])
-                    for a in range(1, self._shape[-1]):
-                        np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
-                    self._cache = draws
-                else:
-                    self._cache = np.cumsum(draws, axis=3)
+                # Running cumsum along the arrival axis, in place.  The
+                # axis is tiny (A slots), so A-1 whole-cube slice adds
+                # beat ``np.cumsum``'s short-segment scan by ~5x at this
+                # shape — identical values, every partial sum an exact
+                # small integer.
+                flat = draws.reshape(-1, self._shape[-1])
+                for a in range(1, self._shape[-1]):
+                    np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
+                self._cache = draws
             self._pos = 0
             if perf.counters.enabled:
                 perf.counters.add(
@@ -607,8 +477,6 @@ class _ChunkedChannelDraws:
                 "totals() needs eager (transformed) draws; this instance "
                 "is in lazy raw-draw mode"
             )
-        if not self._fast:
-            return drain_totals(needed_cum, backlog)
         np.subtract(backlog, 1, out=self._tot_idx)
         np.maximum(self._tot_idx, 0, out=self._tot_idx)
         np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
@@ -622,8 +490,7 @@ class _ChunkedUniforms:
     """Pre-drawn ``random()`` blocks of a fixed per-interval shape.
 
     Each chunk is one ``Generator.random`` call, so the stream's values
-    per interval are independent of ``depth`` (see
-    :func:`~repro.sim.rng.draw_chunk_depth`).  The chunk buffer is
+    per interval are independent of ``depth``.  The chunk buffer is
     allocated once and refilled in place (``Generator.random(out=...)``
     produces the same values as a fresh allocation), so steady-state
     refills are allocation-free.
@@ -659,48 +526,11 @@ class _ChunkedUniforms:
         return block
 
 
-class _ChunkedArgmaxUniforms(_ChunkedUniforms):
-    """Uniform chunks consumed only through their per-row argmax.
-
-    The single-pair DP candidate draw needs ``argmax`` over the last axis
-    of each interval's ``(S, M)`` uniform slice; computing the argmax for
-    the whole ``(depth, S, M)`` chunk once at refill time gives the same
-    values (``block.argmax(axis=2)[pos] == block[pos].argmax(axis=1)``)
-    while amortizing the reduction's call overhead across the chunk.
-    """
-
-    def __init__(self, *per_interval_shape: int, depth: Optional[int] = None):
-        super().__init__(*per_interval_shape, depth=depth)
-        self._argmax: Optional[np.ndarray] = None
-
-    def next_argmax(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            allocs = self._refill(rng)
-            if self._argmax is None:
-                self._argmax = np.empty(self._shape[:2], dtype=np.intp)
-                allocs += 1
-            np.argmax(self._cache, axis=2, out=self._argmax)
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.uniform_refill", perf.clock() - t0, allocs
-                )
-        row = self._argmax[self._pos]
-        self._pos += 1
-        return row
-
-
 class _ChunkedIntegers:
-    """Pre-drawn ``integers(low, high)`` blocks (free-rng discipline only).
+    """Pre-drawn ``integers(low, high)`` blocks.
 
-    The single-pair DP candidate index is uniform on ``{1, .., n-1}``; the
-    lockstep batch schedule derives it as ``1 + argmax`` of an ``(S, n-1)``
-    uniform slice so every backend consumes identical generator values.
-    The free discipline has no such constraint and draws the integers
-    directly — ``(n-1)x`` less generated randomness for the identical
-    distribution.
+    The single-pair DP candidate index is uniform on ``{1, .., n-1}`` and
+    is drawn directly as an integer block.
     """
 
     def __init__(
@@ -736,8 +566,13 @@ class _ChunkedIntegers:
         return block
 
 
-class BatchPolicyKernel(ABC):
-    """Base class: one policy family, vectorized across replications."""
+class BatchPolicyKernel:
+    """Base class: one policy family, vectorized across replications.
+
+    Subclasses implement :meth:`_run_interval_ws` (the ``rng="free"``
+    workspace path); ``rng="sync"`` binds drive per-seed scalar clones
+    through :meth:`_run_interval_sync` instead.
+    """
 
     def __init__(self, policy: IntervalMac):
         self.policy = policy
@@ -760,6 +595,11 @@ class BatchPolicyKernel(ABC):
         return self._stack
 
     @property
+    def rng_mode(self) -> str:
+        """The bound draw discipline (:data:`~repro.sim.rng.RNG_MODES`)."""
+        return self._rng_mode
+
+    @property
     def dp_state(self) -> str:
         """The bound priority-state mode (:data:`DP_STATE_MODES`).
 
@@ -776,12 +616,11 @@ class BatchPolicyKernel(ABC):
         self,
         spec: "NetworkSpec | SpecStack | Sequence[NetworkSpec]",
         num_seeds: int,
-        sync_rng: bool,
         row_policies: Optional[Sequence[IntervalMac]] = None,
         *,
+        rng: Optional[str] = None,
         backend: Optional[str] = None,
         lite: bool = False,
-        rng: Optional[str] = None,
         dp_state: Optional[str] = None,
     ) -> None:
         """Attach to a network and reset all per-replication state.
@@ -796,19 +635,20 @@ class BatchPolicyKernel(ABC):
         clones *those* per row, so heterogeneous rows stay bit-identical
         to their scalar counterparts.
 
+        ``rng`` is the draw discipline (:data:`~repro.sim.rng.RNG_MODES`;
+        ``None`` means ``"free"``), and every mode-dependent choice of the
+        kernel derives from it.  ``"free"`` runs the vectorized workspace
+        path on demand-sized blocks from the bundle's free substreams;
+        ``"sync"`` drives one scalar policy clone per seed and is
+        bit-identical to the scalar engine.
+
         ``backend`` picks the interval resolver (:data:`KERNEL_BACKENDS`;
         ``None`` resolves from the environment) — irrelevant in sync mode,
         which always drives the scalar clones.  ``lite=True`` lets the
         kernel skip materializing per-link attempts and priorities
         (``BatchIntervalOutcome`` carries ``None`` instead); only valid
-        for stats-only consumers that never read them.
-
-        ``rng`` picks the draw discipline (:data:`~repro.sim.rng.RNG_MODES`;
-        ``None`` defers to ``sync_rng``).  Under ``rng="free"`` the kernel
-        draws demand-sized blocks from the bundle's independent free
-        substreams instead of the lockstep batch schedule — statistically
-        equivalent, not bit-identical, and unavailable on the ``legacy``
-        backend (which is frozen as the bit-exact baseline).
+        for stats-only consumers that never read them, and ignored in
+        sync mode.
 
         ``dp_state`` picks the DP-family priority-state maintenance mode
         (:data:`DP_STATE_MODES`; ``None`` resolves from the environment
@@ -862,16 +702,10 @@ class BatchPolicyKernel(ABC):
             self._a_max = max(1, first.arrivals.max_per_link)
             self._reliabilities = first.reliabilities
         self._backend = resolve_backend(backend)
-        self._rng_mode = normalize_rng_mode(rng, sync_rng)
-        self._free = self._rng_mode == "free"
-        if self._free and self._backend == "legacy":
-            raise ValueError(
-                "rng='free' is not available on the legacy backend (it is "
-                "frozen as the bit-exact baseline); use backend='numpy' or "
-                "'jit'"
-            )
+        self._rng_mode = normalize_rng_mode(rng)
+        sync = self._rng_mode == "sync"
         chan0 = first.channel
-        if not sync_rng:
+        if not sync:
             # Batched draw pipelines need i.i.d.-within-interval attempts
             # (the geometric pre-draw) plus, for stateful channels, a
             # vectorized per-row state process.  Sync mode drives the
@@ -882,24 +716,16 @@ class BatchPolicyKernel(ABC):
                     "an interval, so the batch engine cannot pre-draw its "
                     "retry counts; use engine='scalar' or sync_rng=True"
                 )
-            if chan0.has_state:
-                if not chan0.supports_batch_state:
-                    raise TypeError(
-                        f"this {type(chan0).__name__} declines batched "
-                        "channel state (a state with zero success "
-                        "probability breaks geometric retry draws), so the "
-                        "batch engine cannot run it; use engine='scalar' "
-                        "or sync_rng=True"
-                    )
-                if chan0.state_uses_rng and not self._free:
-                    raise TypeError(
-                        f"{type(chan0).__name__} state cannot evolve under "
-                        f"the lockstep '{self._rng_mode}' draw discipline "
-                        "of the batch engine; pass rng='free' "
-                        "(statistically equivalent) or use engine='scalar'"
-                    )
-        self._use_ws = self._backend != "legacy" and not sync_rng
-        self._use_jit = self._backend == "jit" and not sync_rng
+            if chan0.has_state and not chan0.supports_batch_state:
+                raise TypeError(
+                    f"this {type(chan0).__name__} declines batched "
+                    "channel state (a state with zero success "
+                    "probability breaks geometric retry draws), so the "
+                    "batch engine cannot run it; use engine='scalar' "
+                    "or sync_rng=True"
+                )
+        self._use_ws = not sync
+        self._use_jit = self._backend == "jit" and not sync
         descriptor = registry.descriptor_for(self.policy)
         self._dp_state_req = dp_state
         self._dp_state = resolve_dp_state(
@@ -908,15 +734,10 @@ class BatchPolicyKernel(ABC):
                 descriptor is not None
                 and descriptor.capabilities.supports_incremental_dp
             ),
-            workspace=self._backend != "legacy",
         )
-        self._lite = bool(lite) and not sync_rng
-        self._depth = (
-            draw_chunk_depth(FREE_DRAW_CHUNK if self._free else DRAW_CHUNK)
-            if self._use_ws
-            else DRAW_CHUNK
-        )
-        if sync_rng or not chan0.has_state:
+        self._lite = bool(lite) and not sync
+        self._depth = DRAW_CHUNK
+        if sync or not chan0.has_state:
             chan_state = None
         else:
             chan_state = type(chan0).stack_rows(
@@ -930,11 +751,12 @@ class BatchPolicyKernel(ABC):
             self.num_seeds,
             self._a_max,
             depth=self._depth,
-            fast=self._use_ws,
             state=chan_state,
         )
         self._rows = np.arange(self.num_seeds)[:, None]
-        if sync_rng:
+        self._sync_channels: Optional[list] = None
+        self._clones = []
+        if sync:
             # One scalar clone per seed: the sync path drives the *scalar*
             # policy with scalar-identical streams, so its outcomes are
             # bit-identical to the scalar engine by construction.  Fused
@@ -958,27 +780,14 @@ class BatchPolicyKernel(ABC):
                 )
                 for rs in row_specs:
                     rs.channel.reset_state()
-                self._sync_channels: Optional[list] = [
-                    rs.channel for rs in row_specs
-                ]
-            else:
-                self._sync_channels = None
+                self._sync_channels = [rs.channel for rs in row_specs]
             self._clones = [copy.deepcopy(p) for p in sources]
             for clone, row_spec in zip(self._clones, row_specs):
                 clone.bind(row_spec)
-        else:
-            self._sync_channels = None
-            self._clones = []
         self._on_bind()
 
     def _on_bind(self) -> None:
         """Hook for subclasses to (re)initialize batched state."""
-
-    def _kstream(self, rng: BatchRngBundle, name: str) -> np.random.Generator:
-        """The vectorized stream ``name`` under the bound rng discipline."""
-        if self._free:
-            return rng.free_stream(name)
-        return rng.batch_stream(name)
 
     def _chan_rng(
         self, rng: BatchRngBundle
@@ -986,11 +795,10 @@ class BatchPolicyKernel(ABC):
         """The channel-state evolution stream, or ``None`` if stateless.
 
         A dedicated stream keeps the retry-draw stream untouched, so the
-        Bernoulli draw schedule is bit-identical with or without this
-        feature compiled in.
+        retry draw schedule is the same with or without channel state.
         """
         if getattr(self, "_chan_state_uses_rng", False):
-            return self._kstream(rng, "channel-state")
+            return rng.free_stream("channel-state")
         return None
 
     def run_interval(
@@ -999,23 +807,12 @@ class BatchPolicyKernel(ABC):
         arrivals: np.ndarray,
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
-        sync_rng: bool,
     ) -> BatchIntervalOutcome:
-        if sync_rng:
+        """Advance one interval for every replication under the bound
+        draw discipline."""
+        if self._rng_mode == "sync":
             return self._run_interval_sync(k, arrivals, positive_debts, rng)
-        if self._use_ws:
-            return self._run_interval_ws(k, arrivals, positive_debts, rng)
-        return self._run_interval_batch(k, arrivals, positive_debts, rng)
-
-    @abstractmethod
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        """Advance one interval with fully vectorized draws (legacy)."""
+        return self._run_interval_ws(k, arrivals, positive_debts, rng)
 
     def _run_interval_ws(
         self,
@@ -1024,9 +821,8 @@ class BatchPolicyKernel(ABC):
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
     ) -> BatchIntervalOutcome:
-        """Advance one interval on the preallocated workspace (subclasses
-        override; the base falls back to the legacy path)."""
-        return self._run_interval_batch(k, arrivals, positive_debts, rng)
+        """Advance one interval on the preallocated workspace."""
+        raise NotImplementedError
 
     # -- workspace plumbing shared by the concrete kernels -----------------
     def _alloc_common_ws(self) -> SimpleNamespace:
@@ -1086,17 +882,31 @@ class BatchPolicyKernel(ABC):
         needed: np.ndarray,
         caps_f: np.ndarray,
     ) -> None:
-        """:func:`solve_ordered_service` on workspace buffers.
+        """Resolve sequential in-order service for all replications at once.
 
-        Inputs: ``order`` (S, n) int64 service order, ``backlog`` (S, n)
-        int64, ``needed`` the interval's cumulative (S, n, A) draw block,
-        ``caps_f`` the per-position attempt ceilings in the draw dtype
-        (must be non-increasing along axis 1, as in the legacy solver).
-        ``w.oflat`` must already hold ``order + w.row_off``.  Results land
-        in ``w.delivered`` (int64, by link) and ``w.att_pos`` (draw dtype,
-        by position); both match the legacy solver exactly — every
-        intermediate is an exact small integer, so the gathered totals
-        and in-place clip reproduce the legacy arithmetic bit for bit.
+        Inputs: ``order`` (S, n) int64 link ids in service order,
+        ``backlog`` (S, n) int64 packets buffered per link, ``needed`` the
+        interval's (S, n, A) block of cumulative attempts needed to
+        deliver each link's first ``t+1`` packets, and ``caps_f`` the
+        per-position absolute attempt ceilings in the draw dtype.
+        ``caps_f`` **must be non-increasing along axis 1** (true for both
+        constant attempt budgets and backoff-staircase budgets, since
+        backoffs grow along the service order).  ``w.oflat`` must already
+        hold ``order + w.row_off``.  Results land in ``w.delivered``
+        (int64, by link) and ``w.att_pos`` (draw dtype, by position).
+
+        Why no loop is needed: with ``G`` the cumulative attempts *needed*
+        by the first ``j`` links, position ``j`` receives ``clip(caps_j -
+        G_{j-1}, 0, needed_j)`` attempts.  This matches the sequential
+        recursion because attempts-used equals attempts-needed for every
+        link until the first truncated link, and after a truncation the
+        non-increasing ceiling starves all later links — the same "budget
+        exhausted" outcome the scalar engine produces.  Packet ``t`` of
+        the link in position ``j`` is delivered iff ``G_{j-1} +
+        needed_cum[t] <= caps_j``.  Every intermediate is an exact small
+        integer, so the result is independent of summation order
+        (``tests/sim/test_batch_kernels.py`` checks it against a naive
+        per-link loop).
         """
         tot = self._channel_draws.totals(needed, backlog)
         tot.ravel().take(w.oflat.ravel(), out=w.tot_pos.ravel())
@@ -1171,16 +981,12 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
     budget, no backoff slots, no empty packets."""
 
     def _on_bind(self) -> None:
-        self._caps = np.full(
-            (self.num_seeds, self.spec.num_links), self._budget, dtype=np.int64
-        )
-        self._rank_row = np.arange(1, self.spec.num_links + 1, dtype=np.int64)
         if self._use_ws:
             w = self._alloc_common_ws()
             S, n = self.num_seeds, self.spec.num_links
             w.caps_f = np.full((S, n), self._budget, dtype=w.workf)
             w.att_posf = np.empty((S, n), dtype=np.float64)  # jit output
-            w.rank_plane = np.tile(self._rank_row, (S, 1))
+            w.rank_plane = np.tile(np.arange(1, n + 1, dtype=np.int64), (S, 1))
             w.prios = np.empty((S, n), dtype=np.int64)
             self._ws = w
             if self._use_jit:
@@ -1191,11 +997,11 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
                 if secs and perf.counters.enabled:
                     perf.counters.add("jit.warmup", secs)
 
-    @abstractmethod
     def _service_orders(
         self, k: int, positive_debts: np.ndarray
     ) -> np.ndarray:
         """Return ``(S, N)`` link ids in service order for this interval."""
+        raise NotImplementedError
 
     def _run_interval_ws(
         self,
@@ -1210,7 +1016,7 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             t0 = perf.clock()
         order = self._service_orders(k, positive_debts)
         needed = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
+            rng.free_stream("channel"), self._chan_rng(rng)
         )
         lite = self._lite
         if not arrivals.any():
@@ -1253,37 +1059,6 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             priorities=None if lite else w.prios.copy(),
         )
 
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        S, n = arrivals.shape
-        rows = self._rows
-        order = self._service_orders(k, positive_debts)
-        needed_cum = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
-        )
-        deliveries, attempts, attempts_pos = solve_ordered_service(
-            order, arrivals, needed_cum, self._caps,
-            tot_link=self._channel_draws.totals(needed_cum, arrivals),
-        )
-
-        priorities = np.empty((S, n), dtype=np.int64)
-        priorities[rows, order] = self._rank_row
-
-        busy = attempts_pos.sum(axis=1) * self._data_air
-        return BatchIntervalOutcome(
-            deliveries=deliveries,
-            attempts=attempts,
-            busy_time_us=busy,
-            overhead_time_us=np.zeros(S),
-            collisions=np.zeros(S, dtype=np.int64),
-            priorities=priorities,
-        )
-
 
 class BatchELDFKernel(_BatchOrderedServeKernel):
     """ELDF/LDF: stable argsort on ``f(d^+) p`` descending, per row."""
@@ -1314,19 +1089,12 @@ class BatchELDFKernel(_BatchOrderedServeKernel):
     def _service_orders(self, k: int, positive_debts: np.ndarray) -> np.ndarray:
         # _reliabilities is (N,) or, for fused stacks, (S, N); either
         # broadcasts against the (S, N) debt weights.
-        if self._use_ws:
-            weights = self.influence.value_array(
-                positive_debts, out=self._ws.eldf_w
-            )
-            np.multiply(weights, self._reliabilities, out=weights)
-        else:
-            weights = (
-                self.influence.value_array(positive_debts)
-                * self._reliabilities
-            )
+        weights = self.influence.value_array(
+            positive_debts, out=self._ws.eldf_w
+        )
+        np.multiply(weights, self._reliabilities, out=weights)
         if (
-            self._use_ws
-            and weights.dtype == np.float64
+            weights.dtype == np.float64
             and weights.flags.c_contiguous
             and weights.min() >= 0.0
         ):
@@ -1469,18 +1237,20 @@ class BatchDPKernel(BatchPolicyKernel):
         self._coin_draws = _ChunkedUniforms(
             self.num_seeds, 2 * P, depth=self._depth
         )
+        # Candidate draws: the single-pair index is one integer per row;
+        # multi-pair subsets come from (S, M) uniform slices (see
+        # _draw_candidates).
         self._cand_ints: Optional[_ChunkedIntegers] = None
-        if self._free and P == 1:
-            # Free discipline: draw the single-pair candidate index as a
-            # demand-sized integer block instead of (S, n-1) uniforms.
+        self._cand_draws: Optional[_ChunkedUniforms] = None
+        if P == 1:
             self._cand_ints = _ChunkedIntegers(
                 1, n, self.num_seeds, depth=self._depth
             )
-        self._cand_draws = _ChunkedArgmaxUniforms(
-            self.num_seeds, max(0, (n - 1) - (P - 1)), depth=self._depth
-        )
+        elif P > 1:
+            self._cand_draws = _ChunkedUniforms(
+                self.num_seeds, (n - 1) - (P - 1), depth=self._depth
+            )
         self._pair_idx = np.arange(P, dtype=np.int64)[None, :]
-        self._position_row = np.arange(n, dtype=np.int64)
         # With integer-valued timing parameters, every dead time is an
         # exact integer and ``floor(x / air)`` provably equals
         # ``floor_divide(x, air)``: the true quotient is either an exact
@@ -1502,7 +1272,7 @@ class BatchDPKernel(BatchPolicyKernel):
             )
         )
         # The incremental sparse path covers the paper's protocol — one
-        # candidate pair on a real network, workspace backends.  Remark-6
+        # candidate pair on a real network, workspace path.  Remark-6
         # multi-pair stacks and degenerate (n < 2) networks keep the
         # dense recompute; an explicit request for them degrades loudly.
         #
@@ -1591,8 +1361,7 @@ class BatchDPKernel(BatchPolicyKernel):
         # ``interval_us < 2**24`` the whole timeline fits float32 exactly
         # and the divide+floor caps stay provably exact (same 1/air
         # margin argument as ``_exact_div``, with the 2**-24 relative
-        # error of float32).  Otherwise fall back to float64, which the
-        # legacy int64*float path effectively uses.
+        # error of float32).  Otherwise fall back to float64.
         tlf = w.workf if self._exact_div else np.float64
         w.iepf = np.empty((S, n), dtype=tlf)
         w.ebf = np.empty((S, n), dtype=tlf)
@@ -1865,7 +1634,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 "swap bias returned mu outside (0, 1); Algorithm 2 "
                 "requires a non-degenerate coin"
             )
-        coins = self._coin_draws.next(self._kstream(rng, "policy"))
+        coins = self._coin_draws.next(rng.free_stream("policy"))
         np.less(coins, mu, out=w.xib)
         np.multiply(w.xib, 2, out=w.xi)
         np.subtract(w.xi, 1, out=w.xi)
@@ -1891,7 +1660,7 @@ class BatchDPKernel(BatchPolicyKernel):
             w.wa[rc] = w.acb[rc, 1]
             w.wb[rc] = w.acb[rc, 0]
         needed = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
+            rng.free_stream("channel"), self._chan_rng(rng)
         )
         if counters.enabled:
             counters.add("kernel.dp.setup", perf.clock() - t0)
@@ -2312,42 +2081,28 @@ class BatchDPKernel(BatchPolicyKernel):
             return np.asarray([c.priorities for c in self._clones], dtype=np.int64)
         return self._sigma.copy()
 
-    def _draw_candidates(self, rng: BatchRngBundle, S: int, n: int) -> np.ndarray:
-        """``(S, P)`` sorted non-consecutive candidate indices per row."""
-        P = self.num_pairs
-        shared = self._kstream(rng, "shared")
-        if P == 1:
-            draws = self._cand_draws.next(shared)  # (S, n-1) uniforms
-            return 1 + np.argmax(draws, axis=1, keepdims=True).astype(np.int64)
+    def _draw_candidates_ws(self, rng: BatchRngBundle) -> np.ndarray:
+        """``(S, P)`` sorted non-consecutive candidate indices per row.
+
+        The single-pair candidate comes from a direct integer block
+        (:class:`_ChunkedIntegers`), uniform on ``{1..n-1}`` and buffered
+        in the workspace.  Both priority-state paths draw through here, so
+        they consume identical generator values in identical order.
+        """
+        shared = rng.free_stream("shared")
+        if self.num_pairs == 1:
+            row = self._cand_ints.next(shared)
+            np.copyto(self._ws.cands[:, 0], row)
+            return self._ws.cands
         # Gap bijection (see draw_candidate_indices): uniform P-subsets of
         # [1, M] with M = (n - 1) - (P - 1), then shift the i-th smallest
         # by i.  The subset comes from the first P slots of a uniform
         # permutation (argsort of i.i.d. uniforms).
         draws = self._cand_draws.next(shared)
-        subset = np.sort(np.argsort(draws, axis=1)[:, :P] + 1, axis=1)
+        subset = np.sort(
+            np.argsort(draws, axis=1)[:, : self.num_pairs] + 1, axis=1
+        )
         return subset + self._pair_idx
-
-    def _draw_candidates_ws(self, rng: BatchRngBundle) -> np.ndarray:
-        """Workspace candidate draw: same stream consumption and values as
-        :meth:`_draw_candidates`, buffered for the single-pair case.
-
-        Under ``rng="free"`` the single-pair candidate comes from a direct
-        integer block (:class:`_ChunkedIntegers`) instead of the argmax of
-        an ``(S, n-1)`` uniform slice — same uniform-on-``{1..n-1}``
-        distribution, a fraction of the generated randomness.  Both
-        priority-state paths draw through here, so they consume identical
-        generator values in identical order.
-        """
-        if self.num_pairs == 1:
-            if self._free:
-                row = self._cand_ints.next(rng.free_stream("shared"))
-                np.copyto(self._ws.cands[:, 0], row)
-                return self._ws.cands
-            am = self._cand_draws.next_argmax(rng.batch_stream("shared"))
-            np.add(am, 1, out=self._ws.cands[:, 0])
-            return self._ws.cands
-        S, n = self.num_seeds, self.spec.num_links
-        return self._draw_candidates(rng, S, n)
 
     def _run_interval_ws(
         self,
@@ -2356,16 +2111,18 @@ class BatchDPKernel(BatchPolicyKernel):
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
     ) -> BatchIntervalOutcome:
-        """The legacy DP interval, re-expressed over the bound workspace.
+        """One DP interval over the bound workspace (dense priority state).
 
-        Same stages and the same arithmetic as
-        :meth:`_run_interval_batch`, but every (S, n)-sized intermediate
-        lands in a preallocated buffer via ``out=`` ufuncs / flat
-        ``np.take`` gathers, the inverse priority permutation comes from a
-        scatter instead of an argsort, and the ordered-service solver and
-        swap commit are short-circuited when provably idle.  Under
-        ``backend="jit"`` the timeline block (empty-claim accounting +
-        ordered service) is one compiled per-row sweep instead.
+        Per interval and replication: candidate pairs from the shared
+        stream (Step 1), biased coins (Step 3), collision-free backoffs
+        (Step 4), empty claims by candidates without arrivals (Step 2),
+        the interval timeline (Steps 5-6) and the swap commit of Eqs.
+        (7)-(8).  Every (S, n)-sized intermediate lands in a preallocated
+        buffer via ``out=`` ufuncs / flat ``np.take`` gathers, the inverse
+        priority permutation comes from a scatter, and the ordered-service
+        solver and swap commit are short-circuited when provably idle.
+        Under ``backend="jit"`` the timeline block (empty-claim accounting
+        + ordered service) is one compiled per-row sweep instead.
         """
         if self._use_inc:
             return self._run_interval_inc(k, arrivals, positive_debts, rng)
@@ -2407,7 +2164,7 @@ class BatchDPKernel(BatchPolicyKernel):
                     "swap bias returned mu outside (0, 1); Algorithm 2 "
                     "requires a non-degenerate coin"
                 )
-            coins = self._coin_draws.next(self._kstream(rng, "policy"))
+            coins = self._coin_draws.next(rng.free_stream("policy"))
             np.less(coins, mu, out=w.xib)
             np.multiply(w.xib, 2, out=w.xi)
             np.subtract(w.xi, 1, out=w.xi)
@@ -2423,8 +2180,8 @@ class BatchDPKernel(BatchPolicyKernel):
         rc = cdm1 = None
         if P == 1:
             # Single pair (the paper's protocol): the service order and
-            # its backoff staircase have closed forms, so the legacy
-            # argsort collapses into an inv copy plus O(S) fix-ups.
+            # its backoff staircase have closed forms, so the general
+            # argsort below collapses into an inv copy plus O(S) fix-ups.
             # Non-candidates keep priority order with backoff p - 1
             # (below the pair) or p + 1 (above it); the candidates land
             # in positions c-1 and c with backoffs c - xi_down and
@@ -2463,7 +2220,10 @@ class BatchDPKernel(BatchPolicyKernel):
             np.add(order, w.row_off, out=w.oflat)
         else:
             # Multi-pair (Remark 6) and degenerate stacks are off the
-            # benchmark path; keep the legacy construction.
+            # benchmark path: the general construction.  Candidate pair i
+            # works in a backoff band shifted by 2i, non-candidates shift
+            # by 2 per pair entirely below them, and the service order
+            # is backoff order.
             if P:
                 pairs_below = (
                     cands[:, None, :] + 1 < sigma[:, :, None]
@@ -2484,7 +2244,7 @@ class BatchDPKernel(BatchPolicyKernel):
             w.we.ravel().take(w.oflat.ravel(), out=w.iep.ravel())
         oflat = w.oflat.ravel()
         needed = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
+            rng.free_stream("channel"), self._chan_rng(rng)
         )
         if counters.enabled:
             counters.add("kernel.dp.setup", perf.clock() - t0)
@@ -2563,7 +2323,6 @@ class BatchDPKernel(BatchPolicyKernel):
                         arrivals[s],
                         needed[int(s)],
                         w.delivered,
-                        None,
                         w.att_pos,
                         w.fits,
                         w.start,
@@ -2606,8 +2365,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 # A pair can only swap when both coins point "swap"; only
                 # then is the transmission state worth gathering.  The
                 # in-place sigma writes below touch committed entries
-                # only — non-committed writes in the legacy path restore
-                # the values sigma already holds.
+                # only (an uncommitted pair keeps its priorities).
                 w.posn.ravel()[oflat] = w.link_plane.ravel()
                 up_pos = w.posn[rows, w.up]
                 committed = (
@@ -2635,180 +2393,6 @@ class BatchDPKernel(BatchPolicyKernel):
             priorities=sigma_out,
         )
 
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        S, n = arrivals.shape
-        rows = self._rows
-        # Priorities reported for interval k are sigma *before* any swap
-        # (matching the scalar protocol); copy so the outcome never aliases
-        # live kernel state.
-        sigma = self._sigma.copy()
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
-        rel = self._reliabilities
-
-        if n >= 2:
-            # Step 1: shared randomness -> candidate priority indices.
-            cands = self._draw_candidates(rng, S, n)
-            P = cands.shape[1]
-            inv = np.argsort(sigma, axis=1)  # priority p+1 -> link
-            down = inv[rows, cands - 1]  # (S, P)
-            up = inv[rows, cands]
-            cand_links = np.concatenate([down, up], axis=1)  # (S, 2P)
-
-            # Step 3: biased local coins for both candidates of each pair.
-            # rel is (N,) for a shared spec, (S, N) for a fused stack.
-            rel_cand = (
-                rel[rows, cand_links] if rel.ndim == 2 else rel[cand_links]
-            )
-            mu = self._active_bias.mu_batch(
-                cand_links, positive_debts[rows, cand_links], rel_cand
-            )
-            if not np.all((mu > 0.0) & (mu < 1.0)):
-                raise ValueError(
-                    "swap bias returned mu outside (0, 1); Algorithm 2 "
-                    "requires a non-degenerate coin"
-                )
-            coins = self._coin_draws.next(self._kstream(rng, "policy"))
-            xi = np.where(coins < mu, 1, -1)
-            xi_down, xi_up = xi[:, :P], xi[:, P:]
-
-            # Step 4: collision-free backoffs (candidate pair i works in a
-            # band shifted by 2i; non-candidates shift by the pairs below).
-            if P == 1:
-                # One pair: "pairs entirely below priority s" is a plain
-                # comparison, and the band shift 2i is zero.
-                backoff = sigma - 1 + 2 * (sigma > cands + 1)
-                backoff[rows, down] = cands - xi_down
-                backoff[rows, up] = cands + 1 - xi_up
-            else:
-                pairs_below = (cands[:, None, :] + 1 < sigma[:, :, None]).sum(
-                    axis=2, dtype=np.int64
-                )
-                backoff = sigma - 1 + 2 * pairs_below
-                backoff[rows, down] = cands - xi_down + 2 * self._pair_idx
-                backoff[rows, up] = cands + 1 - xi_up + 2 * self._pair_idx
-
-            # Step 2: candidates without arrivals claim with empty packets.
-            wants_empty = np.zeros((S, n), dtype=bool)
-            wants_empty[rows, cand_links] = arrivals[rows, cand_links] == 0
-        else:
-            P = 0
-            cands = np.zeros((S, 0), dtype=np.int64)
-            down = up = cands
-            xi_down = xi_up = cands
-            backoff = sigma - 1
-            wants_empty = np.zeros((S, n), dtype=bool)
-
-        # Steps 5-6: the interval timeline.  Service order is backoff order;
-        # the attempt ceiling of each position is set by its backoff slots
-        # plus the empty packets transmitted before it.
-        order = np.argsort(backoff, axis=1)
-        backoff_pos = backoff[rows, order]
-        is_empty_pos = wants_empty[rows, order]
-        empties_before = np.cumsum(is_empty_pos, axis=1) - is_empty_pos
-
-        # Time each position loses to its own backoff slots plus the empty
-        # packets ahead of it — shared by the attempt ceiling and the
-        # service-start computation below.
-        dead_us = backoff_pos * slot + empties_before * empty_air
-        caps = np.floor_divide(T - dead_us, air).astype(np.int64)
-        needed_cum = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
-        )
-        deliveries, attempts, attempts_pos = solve_ordered_service(
-            order, arrivals, needed_cum, caps,
-            tot_link=self._channel_draws.totals(needed_cum, arrivals),
-        )
-
-        att_cum = np.cumsum(attempts_pos, axis=1)
-        att_before = att_cum - attempts_pos
-        start_pos = att_before * air + dead_us
-        if empty_air > 0:
-            fits_pos = is_empty_pos & (start_pos + empty_air <= T)
-        else:
-            # Idealized mode: a zero-length claim still needs a live instant.
-            fits_pos = is_empty_pos & (start_pos < T)
-
-        # Verify the all-empties-fit assumption; re-run offending rows
-        # sequentially (only under end-of-interval congestion).  Positions
-        # before a row's first misfit already match the sequential sweep —
-        # every earlier claim fit, so the assumed timeline was the real one
-        # up to there — and the resolver resumes from that position's
-        # (attempts-used, empties-fit) state instead of position 0.
-        if self._force_sequential:
-            bad_rows = np.arange(S)
-            first_bad = np.zeros(S, dtype=np.int64)
-        else:
-            mismatch = fits_pos != is_empty_pos
-            bad_rows = np.flatnonzero(mismatch.any(axis=1))
-            first_bad = np.argmax(mismatch, axis=1)
-        for s in bad_rows:
-            j0 = int(first_bad[s])
-            self._resolve_row_sequential(
-                int(s),
-                j0,
-                int(att_before[s, j0]),
-                int(empties_before[s, j0]),
-                order[s],
-                backoff_pos[s],
-                is_empty_pos[s],
-                arrivals[s],
-                needed_cum[s],
-                deliveries,
-                attempts,
-                attempts_pos,
-                fits_pos,
-                start_pos,
-            )
-        if bad_rows.size:
-            att_cum = np.cumsum(attempts_pos, axis=1)
-
-        transmitted_pos = (attempts_pos > 0) | fits_pos
-        idle_slots = np.max(
-            np.where(transmitted_pos, backoff_pos, 0), axis=1
-        )
-        num_empties = fits_pos.sum(axis=1)
-        empty_us = num_empties * empty_air
-        busy = att_cum[:, -1] * air + empty_us
-        overhead = idle_slots * slot + empty_us
-
-        if P:
-            # Step 5 / Eqs. (7)-(8): commit swaps.  The up-mover must have
-            # transmitted (data or a fitting empty claim) with one data
-            # airtime left before the deadline.  Look the up-mover up by
-            # *position* (inverse of ``order``) rather than scattering the
-            # whole timeline back to link space.
-            position = np.empty((S, n), dtype=np.int64)
-            position[rows, order] = self._position_row
-            up_pos = position[rows, up]
-            committed = (
-                (xi_down == -1)
-                & (xi_up == 1)
-                & transmitted_pos[rows, up_pos]
-                & (start_pos[rows, up_pos] + air <= T)
-            )
-            new_sigma = sigma.copy()
-            new_sigma[rows, down] = np.where(committed, cands + 1, cands)
-            new_sigma[rows, up] = np.where(committed, cands, cands + 1)
-            self._sigma = new_sigma
-
-        return BatchIntervalOutcome(
-            deliveries=deliveries,
-            attempts=attempts,
-            busy_time_us=busy,
-            overhead_time_us=overhead,
-            collisions=np.zeros(S, dtype=np.int64),
-            priorities=sigma,
-        )
-
     def _resolve_row_sequential(
         self,
         s: int,
@@ -2821,7 +2405,6 @@ class BatchDPKernel(BatchPolicyKernel):
         arrivals_row: np.ndarray,
         needed_cum_row: np.ndarray,
         deliveries: np.ndarray,
-        attempts: Optional[np.ndarray],
         attempts_pos: np.ndarray,
         fits_pos: np.ndarray,
         start_pos: np.ndarray,
@@ -2834,11 +2417,10 @@ class BatchDPKernel(BatchPolicyKernel):
         arithmetic as the vectorized path, so the combined result equals a
         full sequential evaluation of the whole stack.  Operates on plain
         Python scalars — at tens of links that beats per-element ndarray
-        indexing by an order of magnitude.  ``deliveries``/``attempts``
-        are link-indexed, the remaining output arrays position-indexed
-        (matching :func:`solve_ordered_service`).  ``attempts`` may be
-        ``None`` (the workspace path reconstructs the link view from
-        ``attempts_pos`` at the end of the interval instead).
+        indexing by an order of magnitude.  ``deliveries`` is
+        link-indexed, the remaining output arrays position-indexed (the
+        caller reconstructs the link view of attempts from
+        ``attempts_pos`` at the end of the interval).
         """
         T = self._interval_us
         air = self._data_air
@@ -2879,8 +2461,6 @@ class BatchDPKernel(BatchPolicyKernel):
                 if fits:
                     empties_fit += 1
             deliveries[s, link] = served
-            if attempts is not None:
-                attempts[s, link] = used
             attempts_pos[s, j] = used
             fits_pos[s, j] = fits
             start_pos[s, j] = start

@@ -10,17 +10,17 @@ Python loops.  At 20 seeds this turns the per-interval cost from
 "20x scalar" into "roughly 1x scalar", which is where the engine's >=10x
 speedup comes from.
 
-Two RNG disciplines are supported:
+Two RNG disciplines are supported (:data:`~repro.sim.rng.RNG_MODES`):
 
-``sync_rng=False`` (default, fast)
-    Vectorized draws from dedicated batch streams
-    (:meth:`~repro.sim.rng.BatchRngBundle.batch_stream`).  Each
+``rng="free"`` (default, fast)
+    Vectorized demand-sized draws from dedicated free streams
+    (:meth:`~repro.sim.rng.BatchRngBundle.free_stream`).  Each
     replication is still an independent, reproducible random experiment,
     but the draw *order* differs from the scalar engine, so traces agree
     with scalar runs statistically rather than bit-for-bit.  Deterministic
     quantities (round-robin orders, LDF tie-breaks) are exact either way.
 
-``sync_rng=True`` (exact, for cross-validation)
+``rng="sync"`` / ``sync_rng=True`` (exact, for cross-validation)
     Each replication consumes its scalar-identical streams in scalar
     order, by driving one scalar policy clone per seed; every trace is
     bit-identical to ``IntervalSimulator(spec, policy, seed=s)``.  This is
@@ -32,9 +32,7 @@ time-varying reliability profiles evolve as ``(S, N)`` planes inside the
 kernels' channel-draw pipeline, and Markov-modulated / Pareto-burst
 arrivals evolve as ``(S, N)`` planes inside the arrival-draw pipeline,
 fed by a dedicated ``"arrival-state"`` substream so stateless processes'
-draw schedules never shift (stochastic state additionally requires the
-``rng="free"`` discipline, since lockstep batch streams cannot host the
-extra evolution draws).  Components without a vectorized state process —
+draw schedules never shift.  Components without a vectorized state process —
 channels whose attempts are not i.i.d. within an interval, arrival
 processes without ``stack_rows`` — are rejected at construction with a
 ``TypeError`` naming the working fallback (``sync_rng=True`` or the
@@ -92,45 +90,33 @@ def supports_batch_engine(
     Requires a policy family registered as ``batchable`` (consulting the
     policy registry's capability flags rather than a type switch), a
     channel the kernels can pre-draw (i.i.d.-within-interval attempts;
-    stateful channels additionally need vectorized batch state, the
-    family's ``supports_markov_channel`` capability, and — when the state
-    evolution is stochastic — the ``rng="free"`` discipline), and (in the
-    non-sync modes) an arrival process that is either batch-samplable or
-    supplies vectorized batch state (stochastic arrival state likewise
-    needs ``rng="free"``).
-    ``rng="free"`` additionally requires the family to declare
-    ``supports_free_rng``.  Callers that want graceful degradation (the
-    experiment runner) check this and fall back to the scalar engine.
+    stateful channels additionally need vectorized batch state and the
+    family's ``supports_markov_channel`` capability), and (under
+    ``rng="free"``) an arrival process that is either batch-samplable or
+    supplies vectorized batch state.  Callers that want graceful
+    degradation (the experiment runner) check this and fall back to the
+    scalar engine.
     """
     descriptor = registry.descriptor_for(policy)
     if descriptor is None or not descriptor.capabilities.batchable:
         return False
-    if sync_rng and not descriptor.capabilities.supports_sync_rng:
-        return False
     mode = normalize_rng_mode(rng, sync_rng)
-    if mode == "free" and not descriptor.capabilities.supports_free_rng:
-        return False
+    if mode == "sync":
+        return descriptor.capabilities.supports_sync_rng and (
+            spec.channel.has_state or spec.channel.iid_within_interval
+        )
     channel = spec.channel
     if channel.has_state:
-        if mode != "sync":
-            if not channel.supports_batch_state:
-                return False
-            if not descriptor.capabilities.supports_markov_channel:
-                return False
-            if channel.state_uses_rng and mode != "free":
-                return False
+        if not channel.supports_batch_state:
+            return False
+        if not descriptor.capabilities.supports_markov_channel:
+            return False
     elif not channel.iid_within_interval:
         return False
     arrivals = spec.arrivals
-    if mode != "sync":
-        if arrivals.has_state:
-            if not arrivals.supports_batch_state:
-                return False
-            if arrivals.state_uses_rng and mode != "free":
-                return False
-        elif not arrivals.supports_batch_sampling:
-            return False
-    return True
+    if arrivals.has_state:
+        return arrivals.supports_batch_state
+    return arrivals.supports_batch_sampling
 
 
 class BatchSimulationResult:
@@ -409,7 +395,7 @@ class BatchSweepStats:
 
 
 class _BatchArrivalDraws:
-    """Chunked arrival blocks for the vectorized (non-sync) RNG mode.
+    """Chunked arrival blocks for the vectorized ``rng="free"`` mode.
 
     Batch-samplable processes are stateless (i.i.d. across both
     replications and intervals), so :data:`DRAW_CHUNK` intervals' worth of
@@ -424,15 +410,11 @@ class _BatchArrivalDraws:
         num_seeds: int,
         depth: Optional[int] = None,
     ):
-        # The depth stays fixed at DRAW_CHUNK in batch mode even when the
-        # kernels use a deeper REPRO_DRAW_CHUNK: arrival sampling may make
-        # several Generator calls per block (e.g. bursty uniforms then
-        # integers), so the block size changes how the stream's values
-        # interleave — unlike the single-call channel/uniform chunks, a
-        # different depth here would change the trajectory.  The free
-        # discipline has no trajectory-preservation constraint (statistical
-        # equivalence is the contract; arrivals stay i.i.d. per interval at
-        # any block size), so it passes the kernel's deeper chunk depth.
+        # Arrival sampling may make several Generator calls per block
+        # (e.g. bursty uniforms then integers), so the block size changes
+        # how the stream's values interleave — unlike the single-call
+        # channel/uniform chunks, a different depth here changes the
+        # trajectory (arrivals stay i.i.d. per interval at any depth).
         self._stack = stack
         self._spec = spec
         self._num_seeds = num_seeds
@@ -610,7 +592,7 @@ def share_batch_draws(sims: Sequence["BatchIntervalSimulator"]) -> None:
 
     Partitions ``sims`` into classes that provably draw identical channel
     and arrival randomness — same seed tuple, same stream tag, equal row
-    specs, vectorized (non-sync) mode — and gives each class one shared
+    specs, ``rng="free"`` mode — and gives each class one shared
     draw source.  Callers **must** then advance all the simulators in
     lockstep (each steps once per interval, in any fixed order); the fused
     sweep runner does exactly that for the policy-family mega-batches of
@@ -630,18 +612,14 @@ def share_batch_draws(sims: Sequence["BatchIntervalSimulator"]) -> None:
         draws = sim.kernel._channel_draws
         # Chunk depth is part of the class key: blocks are shared by
         # reference, so lockstep clients must consume identically-shaped
-        # chunks (depths can differ when only some kernels honor
-        # REPRO_DRAW_CHUNK).
-        # The rng mode is part of the key too: batch and free simulators
-        # draw from disjoint stream namespaces, so their blocks differ.
-        # Lazy (raw-draw) kernels transform gathered rows themselves;
-        # eager kernels expect the block pre-transformed.  Both generate
-        # identical raw streams, but a shared *block* must mean the same
-        # thing to every client, so lazy-ness splits the class.
+        # chunks.  Lazy (raw-draw) kernels transform gathered rows
+        # themselves; eager kernels expect the block pre-transformed.
+        # Both generate identical raw streams, but a shared *block* must
+        # mean the same thing to every client, so lazy-ness splits the
+        # class.
         key = (
             sim.rng.seeds,
             sim.rng.stream_tag,
-            sim.rng_mode,
             specs,
             draws._depth,
             bool(getattr(draws, "lazy", False)),
@@ -674,8 +652,7 @@ class BatchIntervalSimulator:
         chosen rng discipline (see :func:`supports_batch_engine`):
         memoryless channels need i.i.d.-within-interval attempts, and
         stateful ones (Gilbert-Elliott, time-varying profiles) need
-        vectorized batch state — with ``rng="free"`` when the state
-        evolution is stochastic.  May also be a
+        vectorized batch state.  May also be a
         :class:`~repro.sim.spec_stack.SpecStack` (or any sequence of
         specs, one per seed) to give every replication row its own
         channel parameters, requirements and arrival parameters.
@@ -688,8 +665,8 @@ class BatchIntervalSimulator:
         single-``seed`` argument.  With a spec stack, seeds may repeat
         (one row per (cell, seed) pair of a fused sweep).
     sync_rng:
-        Consume randomness in scalar order per seed (exact but slow); see
-        the module docstring.
+        Consume randomness in scalar order per seed (exact but slow); the
+        same as ``rng="sync"``.  See the module docstring.
     validate:
         Assert deliveries never exceed arrivals each step (cheap, on by
         default; benchmarks turn it off).
@@ -703,14 +680,18 @@ class BatchIntervalSimulator:
         lets fused rows differ in policy parameters the kernel can stack
         (e.g. per-row Glauber constants).
     stream_tag:
-        Namespace tag for the batch RNG streams; see
+        Namespace tag for the free RNG streams; see
         :class:`~repro.sim.rng.BatchRngBundle`.
     backend:
         Kernel backend (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`):
-        ``"numpy"`` (preallocated workspace, default), ``"jit"`` (Numba
-        inner loops, falls back to ``"numpy"`` without numba), or
-        ``"legacy"``.  All backends are bit-identical; ``None`` resolves
-        from ``REPRO_KERNEL_BACKEND`` / ``REPRO_JIT``.
+        ``"numpy"`` (preallocated workspace, default) or ``"jit"`` (Numba
+        inner loops, falls back to ``"numpy"`` without numba).  Both are
+        bit-identical; ``None`` resolves from ``REPRO_KERNEL_BACKEND`` /
+        ``REPRO_JIT``.
+    rng:
+        Draw discipline (:data:`~repro.sim.rng.RNG_MODES`): ``"free"``
+        (the default when ``None`` and ``sync_rng`` is false) or
+        ``"sync"``.
     dp_state:
         Priority-state maintenance mode for DP-family kernels
         (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``
@@ -776,15 +757,6 @@ class BatchIntervalSimulator:
                         "state process, so the batch engine cannot run "
                         "it; use sync_rng=True or engine='scalar'"
                     )
-                if arrival_state_rng and self.rng_mode != "free":
-                    raise TypeError(
-                        f"{type(self.spec.arrivals).__name__} evolves "
-                        "stochastic per-interval state, which the lockstep "
-                        "batch draw discipline cannot host; pass "
-                        "rng='free' (statistically equivalent), "
-                        "sync_rng=True (bit-identical, scalar-speed), or "
-                        "engine='scalar'"
-                    )
             elif not batch_ok:
                 raise TypeError(
                     f"{type(self.spec.arrivals).__name__} cannot be sampled "
@@ -792,25 +764,16 @@ class BatchIntervalSimulator:
                     "batch engine cannot run it; use sync_rng=True or "
                     "engine='scalar'"
                 )
-        if self.rng_mode == "free":
-            descriptor = registry.descriptor_for(policy)
-            if descriptor is None or not descriptor.capabilities.supports_free_rng:
-                raise TypeError(
-                    f"{type(policy).__name__}'s family does not declare "
-                    "supports_free_rng; run it under the default batch "
-                    "discipline (rng=None) instead"
-                )
         self.kernel = make_batch_kernel(policy)
         self.kernel.bind(
             stack if stack is not None else self.spec,
             self.rng.num_seeds,
-            self.sync_rng,
             row_policies=row_policies,
+            rng=self.rng_mode,
             backend=backend,
             # Trace recording reads per-link attempts and priorities;
             # stats-only runs let the kernel skip materializing them.
             lite=not self.record_traces,
-            rng=self.rng_mode,
             dp_state=dp_state,
         )
         self.backend = self.kernel._backend
@@ -847,7 +810,7 @@ class BatchIntervalSimulator:
             )
             self._arrival_draws = None
         else:
-            depth = self.kernel._depth if self.rng_mode == "free" else None
+            depth = self.kernel._depth
             if arrivals_have_state:
                 self._arrival_draws = _StatefulArrivalDraws(
                     stack,
@@ -865,13 +828,7 @@ class BatchIntervalSimulator:
                     stack, self.spec, self.rng.num_seeds, depth=depth
                 )
         self._arrival_stream = (
-            None
-            if self.sync_rng
-            else (
-                self.rng.free_stream("arrivals")
-                if self.rng_mode == "free"
-                else self.rng.arrivals
-            )
+            None if self.sync_rng else self.rng.free_stream("arrivals")
         )
         self.stats = BatchSweepStats(self._q_rows, self.rng.seeds)
         self.result: Optional[BatchSimulationResult] = None
@@ -944,7 +901,6 @@ class BatchIntervalSimulator:
             arrivals,
             self._pos_debts,
             self.rng,
-            self.sync_rng,
         )
         if counters.enabled:
             counters.add("sim.kernel", perf.clock() - t0)

@@ -8,11 +8,11 @@ the two irreducibly sequential pieces — ordered service under a cap
 staircase, and the DP interval timeline with empty-packet coupling — with
 ``nopython`` per-row loops over the *same* workspace arrays.  The loops
 are verbatim transcriptions of the engine's exact sequential semantics
-(``BatchDPKernel._resolve_row_sequential`` and the
-``solve_ordered_service`` recursion), so their outputs are bit-identical
-to the NumPy path: every accumulated quantity is a small exact integer
-(stored in float32/float64 well below the mantissa limit), which makes
-the arithmetic order-independent.
+(``BatchDPKernel._resolve_row_sequential`` and the ordered-service
+recursion of ``BatchPolicyKernel._solve_ordered_ws``), so their outputs
+are bit-identical to the NumPy path: every accumulated quantity is a
+small exact integer (stored in float32/float64 well below the mantissa
+limit), which makes the arithmetic order-independent.
 
 Numba is an *optional* dependency:
 
@@ -99,7 +99,7 @@ def _serve_rows_py(order, backlog, needed_cum, cap, delivered, att_pos):
     (``needed_cum[s, l, t]`` = attempts needed for the first ``t + 1``
     packets).  Writes ``delivered`` by link and ``att_pos`` by service
     position, exactly like
-    :func:`repro.sim.batch_kernels.solve_ordered_service`.
+    :meth:`repro.sim.batch_kernels.BatchPolicyKernel._solve_ordered_ws`.
     """
     S, N = order.shape
     for s in prange(S):

@@ -10,7 +10,6 @@ spawning, so any simulation is reproducible from a single integer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -19,36 +18,31 @@ import numpy as np
 __all__ = [
     "RngBundle",
     "BatchRngBundle",
-    "draw_chunk_depth",
     "RNG_MODES",
     "normalize_rng_mode",
 ]
 
-#: The three RNG disciplines a batch simulation can run under:
+#: The two RNG disciplines a batch simulation can run under:
 #:
-#: * ``"sync"``  — per-seed scalar clone streams; bit-identical to the
-#:   scalar engine (debug / cross-validation mode).
-#: * ``"batch"`` — one vectorized stream per name over the whole stack;
-#:   reproducible from the seed tuple, draws in lockstep with the shared
-#:   scalar draw schedule (every kernel consumes the same block shapes,
-#:   which keeps all backends bit-identical to each other).
-#: * ``"free"``  — independently-derived per-(seed-tuple, stream)
+#: * ``"sync"`` — per-seed scalar clone streams; bit-identical to the
+#:   scalar engine (the oracle / cross-validation mode).
+#: * ``"free"`` — independently-derived per-(seed-tuple, stream)
 #:   substreams where each kernel draws only what it actually consumes.
-#:   Statistical equivalence with the other modes is the contract, not
-#:   bit-identity (production throughput mode).
-RNG_MODES = ("sync", "batch", "free")
+#:   Statistical equivalence with the scalar engine is the contract, not
+#:   bit-identity (the default, production throughput mode).
+RNG_MODES = ("sync", "free")
 
 
 def normalize_rng_mode(rng: Optional[str] = None, sync_rng: bool = False) -> str:
-    """Resolve an ``rng=`` argument plus legacy ``sync_rng`` flag to a mode.
+    """Resolve an ``rng=`` argument plus the ``sync_rng`` flag to a mode.
 
-    ``rng=None`` defers to ``sync_rng`` (``True`` → ``"sync"``, else
-    ``"batch"`` — today's defaults).  An explicit ``rng="sync"`` is the
-    same as ``sync_rng=True``; combining ``sync_rng=True`` with
-    ``rng="batch"``/``rng="free"`` is contradictory and raises.
+    ``rng=None`` defers to ``sync_rng`` (``True`` → ``"sync"``, else the
+    default ``"free"``).  An explicit ``rng="sync"`` is the same as
+    ``sync_rng=True``; combining ``sync_rng=True`` with ``rng="free"`` is
+    contradictory and raises.
     """
     if rng is None:
-        return "sync" if sync_rng else "batch"
+        return "sync" if sync_rng else "free"
     mode = str(rng).lower()
     if mode not in RNG_MODES:
         raise ValueError(
@@ -59,38 +53,6 @@ def normalize_rng_mode(rng: Optional[str] = None, sync_rng: bool = False) -> str
             f"rng={mode!r} contradicts sync_rng=True; pass one or the other"
         )
     return mode
-
-
-def draw_chunk_depth(default: int = 64) -> int:
-    """Chunk depth (intervals per Generator call) for batch draw caches.
-
-    Reads ``REPRO_DRAW_CHUNK`` from the environment, falling back to
-    ``default``.  Changing the depth is **value-preserving** for every
-    stream that fills its whole chunk with a *single* Generator call
-    (channel retry draws via ``standard_exponential``, policy/shared
-    uniforms via ``random``): a chunk of depth ``D`` consumes exactly
-    ``D`` intervals' worth of the stream in interval order, so interval
-    ``k`` reads the same generator values at any depth.  It is *not*
-    value-preserving for arrival blocks — ``sample_batch`` of the bursty
-    process makes two generator calls (uniforms, then integers) whose
-    interleaving depends on the block size — so the arrival cache in
-    :mod:`repro.sim.batch_sim` keeps a fixed depth regardless of this
-    setting.
-    """
-    raw = os.environ.get("REPRO_DRAW_CHUNK", "")
-    if not raw:
-        return int(default)
-    try:
-        depth = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_DRAW_CHUNK must be a positive integer, got {raw!r}"
-        ) from exc
-    if depth < 1:
-        raise ValueError(
-            f"REPRO_DRAW_CHUNK must be a positive integer, got {depth}"
-        )
-    return depth
 
 
 class RngBundle:
@@ -150,19 +112,19 @@ class BatchRngBundle:
       :class:`RngBundle` per seed, constructed exactly as the scalar engine
       would.  Stream ``"channel"`` of seed ``s`` here is bit-identical to
       ``RngBundle(s).channel``, which is what makes scalar/batch
-      cross-validation exact (the batch engine's ``sync_rng`` mode draws
-      from these in scalar consumption order).
-    * **Batch streams** (:meth:`batch_stream`) — one generator per stream
+      cross-validation exact (the batch engine's ``sync`` mode draws from
+      these in scalar consumption order).
+    * **Free streams** (:meth:`free_stream`) — one generator per stream
       name that fills ``(S, ...)``-shaped arrays in single vectorized
       draws.  Its seed mixes the *whole* seed tuple, so a batch run is
       reproducible from the seed list, but individual slices are not meant
       to match any scalar stream.
 
-    Batch stream names live in a ``"batch:"`` namespace so they can never
+    Free stream names live in a ``"free:"`` namespace so they can never
     collide with per-seed stream names.
 
-    ``stream_tag`` shifts the whole batch-stream namespace: two bundles
-    with the same seeds but different tags draw independent batch streams.
+    ``stream_tag`` shifts the whole free-stream namespace: two bundles
+    with the same seeds but different tags draw independent free streams.
     The grid-fused sweep engine tags its mega-batches (``"fused"``) so a
     fused stack never replays the draws of a plain per-cell batch run that
     happens to share the same seed list — the two modes stay independent
@@ -180,7 +142,6 @@ class BatchRngBundle:
         self._seeds = seeds
         self._stream_tag = stream_tag
         self._bundles = tuple(RngBundle(s) for s in seeds)
-        self._batch_streams: Dict[str, np.random.Generator] = {}
         self._free_streams: Dict[str, np.random.Generator] = {}
 
     @property
@@ -204,32 +165,15 @@ class BatchRngBundle:
     def stream_tag(self) -> Optional[str]:
         return self._stream_tag
 
-    def batch_stream(self, name: str) -> np.random.Generator:
-        """One generator for vectorized ``(S, ...)`` draws of ``name``."""
-        if name not in self._batch_streams:
-            namespace = "batch:"
-            if self._stream_tag is not None:
-                namespace = f"batch[{self._stream_tag}]:"
-            name_key = [ord(c) for c in namespace + name]
-            seq = np.random.SeedSequence(
-                entropy=list(self._seeds), spawn_key=name_key
-            )
-            self._batch_streams[name] = np.random.Generator(np.random.PCG64(seq))
-        return self._batch_streams[name]
-
     def free_stream(self, name: str) -> np.random.Generator:
         """One generator per stream name for the ``rng="free"`` discipline.
 
-        Free streams use the same spawn-key derivation as
-        :meth:`batch_stream` but live in a disjoint ``"free:"`` namespace,
-        so a free-mode run never replays (or partially replays) the draws
-        of a batch-mode run over the same seeds.  Kernels running free
-        draw *only what they consume* from these substreams — block
-        shapes, chunk depths, and per-interval consumption may all differ
-        from the lockstep batch schedule, which is why free mode promises
-        statistical equivalence rather than bit-identity.  Determinism is
-        still exact: the stream is a pure function of (seed tuple,
-        stream tag, name).
+        Kernels running free draw *only what they consume* from these
+        substreams — block shapes, chunk depths, and per-interval
+        consumption are the kernel's own choice, which is why free mode
+        promises statistical equivalence rather than bit-identity with the
+        scalar engine.  Determinism is still exact: the stream is a pure
+        function of (seed tuple, stream tag, name).
         """
         if name not in self._free_streams:
             namespace = "free:"
@@ -241,20 +185,3 @@ class BatchRngBundle:
             )
             self._free_streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._free_streams[name]
-
-    # Convenience accessors mirroring :class:`RngBundle`. ------------------
-    @property
-    def arrivals(self) -> np.random.Generator:
-        return self.batch_stream("arrivals")
-
-    @property
-    def channel(self) -> np.random.Generator:
-        return self.batch_stream("channel")
-
-    @property
-    def policy(self) -> np.random.Generator:
-        return self.batch_stream("policy")
-
-    @property
-    def shared(self) -> np.random.Generator:
-        return self.batch_stream("shared")

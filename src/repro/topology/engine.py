@@ -7,8 +7,8 @@ sit contiguously at ``c * S .. (c + 1) * S - 1`` (cell-major order), each
 bound to that cell's sliced spec.  The kernel never learns about the
 topology — rows are just small independent networks.
 
-**Per-cell draw injection.**  Under the vectorized disciplines
-(``rng="batch"`` / ``"free"``), every random input of the batch engine
+**Per-cell draw injection.**  Under the vectorized ``rng="free"``
+discipline, every random input of the batch engine
 flows through swappable chunked draw objects (the same seam
 :func:`~repro.sim.batch_sim.share_batch_draws` uses).  The topology
 engine replaces them with cell-wise wrappers that draw each cell's row
@@ -41,11 +41,9 @@ from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
 from ..sim.batch_kernels import (
-    _ChunkedArgmaxUniforms,
     _ChunkedChannelDraws,
     _ChunkedIntegers,
     _ChunkedUniforms,
-    drain_totals,
 )
 from ..sim.batch_sim import BatchIntervalSimulator, _BatchArrivalDraws
 from ..sim.rng import BatchRngBundle, normalize_rng_mode
@@ -79,18 +77,6 @@ class _CellwiseBlocks:
         return self._out
 
 
-class _CellwiseArgmax(_CellwiseBlocks):
-    def __init__(self, inners, gens, num_seeds: int, next_shape, argmax_shape):
-        super().__init__(inners, gens, np.empty(next_shape), num_seeds)
-        self._am = np.empty(argmax_shape, dtype=np.intp)
-
-    def next_argmax(self, _rng) -> np.ndarray:
-        S = self._S
-        for c, (inner, gen) in enumerate(zip(self._inners, self._gens)):
-            self._am[c * S : (c + 1) * S] = inner.next_argmax(gen)
-        return self._am
-
-
 class _CellwiseChannelDraws(_CellwiseBlocks):
     """Cell-wise channel retry blocks with the fast drain-totals gather.
 
@@ -107,7 +93,6 @@ class _CellwiseChannelDraws(_CellwiseBlocks):
         num_seeds: int,
         width: int,
         a_max: int,
-        fast: bool,
         state_gens=None,
     ):
         dtypes = {inner.dtype for inner in inners}
@@ -120,7 +105,6 @@ class _CellwiseChannelDraws(_CellwiseBlocks):
         out = np.empty((rows, width, a_max), dtype=dtypes.pop())
         super().__init__(inners, gens, out, num_seeds)
         self._state_gens = list(state_gens) if state_gens is not None else None
-        self._fast = bool(fast)
         self._tot_base = (
             np.arange(rows * width, dtype=np.int64) * a_max
         ).reshape(rows, width)
@@ -142,8 +126,6 @@ class _CellwiseChannelDraws(_CellwiseBlocks):
     def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
         # Same exact-integer gather as _ChunkedChannelDraws.totals, sized
         # for the packed (R, width) plane.
-        if not self._fast:
-            return drain_totals(needed_cum, backlog)
         np.subtract(backlog, 1, out=self._tot_idx)
         np.maximum(self._tot_idx, 0, out=self._tot_idx)
         np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
@@ -308,7 +290,6 @@ class TopologySimulator:
         width = self.packing.width
         a_max = kernel._a_max
         depth = kernel._depth
-        free = kernel._free
         rows = S * len(self.cells)
         bundles = [
             BatchRngBundle(self.seeds, stream_tag=cell_stream_tag(c))
@@ -316,10 +297,7 @@ class TopologySimulator:
         ]
 
         def streams(name: str):
-            return [
-                b.free_stream(name) if free else b.batch_stream(name)
-                for b in bundles
-            ]
+            return [b.free_stream(name) for b in bundles]
 
         cell_specs = [self.packing.cell_specs[c] for c in self.cells]
         for spec_c in cell_specs:
@@ -336,7 +314,6 @@ class TopologySimulator:
                     S,
                     a_max,
                     depth=depth,
-                    fast=kernel._use_ws,
                     # Per-cell channel state: S rows of this cell's own
                     # (take_links-sliced) channel, evolved from the
                     # cell's dedicated stream below.
@@ -352,7 +329,6 @@ class TopologySimulator:
             S,
             width,
             a_max,
-            fast=kernel._use_ws,
             state_gens=(
                 streams("channel-state")
                 if getattr(kernel, "_chan_state_uses_rng", False)
@@ -385,20 +361,15 @@ class TopologySimulator:
         cand = getattr(kernel, "_cand_draws", None)
         if cand is not None:
             m = cand._shape[-1]
-            kernel._cand_draws = _CellwiseArgmax(
-                [
-                    _ChunkedArgmaxUniforms(S, m, depth=depth)
-                    for _ in cell_specs
-                ],
+            kernel._cand_draws = _CellwiseBlocks(
+                [_ChunkedUniforms(S, m, depth=depth) for _ in cell_specs],
                 streams("shared"),
+                np.empty((rows, m)),
                 S,
-                next_shape=(rows, m),
-                argmax_shape=(rows,),
             )
-        arrival_depth = depth if free else None
         self.sim._arrival_draws = _CellwiseBlocks(
             [
-                _BatchArrivalDraws(None, spec_c, S, depth=arrival_depth)
+                _BatchArrivalDraws(None, spec_c, S, depth=depth)
                 for spec_c in cell_specs
             ],
             streams("arrivals"),

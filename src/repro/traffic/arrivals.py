@@ -139,9 +139,9 @@ class ArrivalProcess(ABC):
     def state_uses_rng(self) -> bool:
         """Whether the state evolution consumes random draws.
 
-        Stochastic state restricts the batch engines to the ``rng="free"``
-        discipline: lockstep batch streams cannot host the extra
-        evolution draws without shifting every stateless schedule.
+        Stochastic state draws from a dedicated ``"arrival-state"``
+        stream, so the extra evolution draws never shift a stateless
+        process's schedule.
         """
         return False
 
@@ -663,8 +663,8 @@ class MarkovModulatedArrivals(ArrivalProcess):
     @property
     def supports_batch_sampling(self) -> bool:
         # The modulating chain is per-process state: one generator cannot
-        # advance S independent copies of it, so lockstep batching is
-        # refused; the batch-state plane (stack_rows) is the vectorized
+        # advance S independent copies of it, so stateless batch sampling
+        # is refused; the batch-state plane (stack_rows) is the vectorized
         # path instead.
         return False
 
@@ -866,8 +866,8 @@ class ParetoBurstArrivals(ArrivalProcess):
     @property
     def supports_batch_sampling(self) -> bool:
         # Remaining-burst counters are per-process state: one generator
-        # cannot advance S independent copies in lockstep; the batch-state
-        # plane (stack_rows) is the vectorized path instead.
+        # cannot advance S independent copies with stateless sampling; the
+        # batch-state plane (stack_rows) is the vectorized path instead.
         return False
 
     @property
@@ -932,9 +932,10 @@ def arrivals_from_spec(text: str, num_links: int) -> ArrivalProcess:
                                      DUR_MAX (default 64), PEAK packets
                                      per burst interval (default 1)
 
-    MMPP and Pareto carry stochastic per-interval state, so on the
-    batch/fused engines they need ``rng="free"`` (statistically
-    equivalent) or ``sync_rng=True`` (bit-identical, scalar-speed).
+    MMPP and Pareto carry stochastic per-interval state; the batch/fused
+    engines evolve it vectorized under ``rng="free"`` (statistically
+    equivalent) or per seed under ``rng="sync"`` (bit-identical,
+    scalar-speed).
     """
     parts = str(text).split(":")
     kind, args = parts[0].lower(), parts[1:]

@@ -86,6 +86,13 @@ class TestEngineFlags:
         assert args.shards == 2
         assert args.backend == "numpy"
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--rng", "batch"), ("--backend", "legacy")]
+    )
+    def test_removed_choices_rejected(self, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig3", flag, value])
+
     def test_sweep_flags_without_engine_default_to_fused(self, capsys):
         # --rng/--shards/--backend are sweep-engine features; without an
         # explicit --engine they must land on the fused engine instead

@@ -79,9 +79,31 @@ class TestFallback:
 class TestLockstepSharing:
     def test_draw_sharing_changes_no_values(self, monkeypatch):
         """Cross-family draw sharing is an optimization only: disabling
-        it must leave every sweep point bit-identical."""
-        kw = dict(BASE, policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy})
+        it must leave every sweep point bit-identical.  Under
+        ``rng="free"`` the DB-DP and LDF stacks really are wired to one
+        shared channel and arrival source."""
+        from repro.sim.batch_sim import _FanoutDraws
+
+        kw = dict(
+            BASE, policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy},
+            rng="free",
+        )
+        wired = []
+
+        def share_and_record(sims):
+            real_share(sims)
+            wired.append(
+                [
+                    isinstance(sim.kernel._channel_draws, _FanoutDraws)
+                    and isinstance(sim._arrival_draws, _FanoutDraws)
+                    for sim in sims
+                ]
+            )
+
+        real_share = grid.share_batch_draws
+        monkeypatch.setattr(grid, "share_batch_draws", share_and_record)
         shared = run_sweep_fused(**kw)
+        assert wired == [[True, True]]
         monkeypatch.setattr(grid, "share_batch_draws", lambda sims: None)
         unshared = run_sweep_fused(**kw)
         assert shared.points == unshared.points
@@ -216,7 +238,8 @@ class TestFusedFaults:
 
     def test_faults_enabled_changes_no_values(self):
         """With no fault firing, the faults path (sequential groups, no
-        lockstep sharing) must be bit-identical to the default path."""
+        cross-family draw sharing) must be bit-identical to the default
+        path."""
         from repro.experiments.faults import FaultPolicy
 
         kw = self.kwargs(policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy})

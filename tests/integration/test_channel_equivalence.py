@@ -11,7 +11,8 @@ Three layers of guarantees, mirroring the Bernoulli ones:
 * ``sync_rng=True`` drives scalar clones from per-seed streams, so the
   batch engine is *bit-identical* to the scalar engine even with
   Markov channel state; the deterministic ``TimeVaryingReliability``
-  schedule is additionally exact under the lockstep disciplines.
+  schedule additionally matches the scalar mean under the default
+  ``rng="free"`` discipline.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ class TestGilbertElliottSyncIdentity:
 
 
 class TestTimeVaryingReliability:
-    def test_lockstep_batch_matches_scalar_mean(self):
-        """The deterministic schedule consumes no state randomness, so it
-        runs under the *default* lockstep discipline; means must agree
-        with the scalar engine within the joint confidence bound."""
+    def test_default_fused_matches_scalar_mean(self):
+        """The deterministic schedule consumes no state randomness; under
+        the *default* (free) discipline means must agree with the scalar
+        engine within the joint confidence bound."""
         kw = dict(
             parameter_name="alpha",
             values=(VALUES[0],),
@@ -180,7 +181,7 @@ class TestTimeVaryingReliability:
                 _cell(scalar, policy, VALUES[0]),
                 policy,
                 VALUES[0],
-                "fused-lockstep",
+                "fused-free",
                 "scalar",
             )
 

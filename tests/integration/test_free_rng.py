@@ -1,58 +1,64 @@
-"""The ``rng="free"`` draw discipline: determinism, equivalence, fallback.
+"""The ``rng="free"`` draw discipline: determinism, equivalence, hygiene.
 
-The free discipline's contract is *statistical* equivalence with the
-default lockstep-batch discipline — kernels draw only what they consume
+The free discipline (the batch engines' default) promises *statistical*
+equivalence with the scalar engine — kernels draw only what they consume
 from independently derived per-(seed, stream) substreams, so bit
 identity is explicitly NOT promised.  What is promised, and asserted
 here:
 
 * determinism: free draws are a pure function of (seeds, stream tag,
   stream name) — the same sweep run twice is bit-identical;
-* distinctness: free draws differ from the batch discipline's (same
-  seeds), and the two disciplines' per-cell means agree within the same
-  joint confidence bound used by ``test_fused_statistical.py``;
-* capability gating: families without ``supports_free_rng`` degrade to
-  the batch discipline with exactly one ``UserWarning`` per sweep (and
-  raise ``TypeError`` when handed to the batch simulator directly);
-* mode hygiene: ``rng="free"`` contradicts ``sync_rng=True``, is
-  rejected on the frozen legacy backend, and is meaningless on the
-  scalar engine.
+* distinctness and equivalence: free draws differ from the
+  scalar-identical ``sync`` draws (same seeds), and free per-cell means
+  agree with the scalar engine's within the same joint confidence bound
+  used by ``test_fused_statistical.py``, for every batch family;
+* mode hygiene: ``free`` is the default, contradicts ``sync_rng=True``,
+  is meaningless on the scalar engine, and the removed ``batch`` draw
+  discipline and ``legacy`` backend are rejected.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
 
-from repro import DBDPPolicy, LDFPolicy, RoundRobinPolicy, run_simulation_batch
-from repro.core import registry
+from repro import (
+    DBDPPolicy,
+    ELDFPolicy,
+    LDFPolicy,
+    RoundRobinPolicy,
+    StaticPriorityPolicy,
+    run_simulation_batch,
+)
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.runner import run_single, run_sweep
-from repro.sim.batch_sim import BatchIntervalSimulator, supports_batch_engine
+from repro.sim.batch_kernels import resolve_backend
 from repro.sim.rng import RNG_MODES, normalize_rng_mode
 
 SEEDS = tuple(range(24))
 INTERVALS = 400
 VALUES = (0.5, 0.65)
 POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
+#: Every batch family, for the free-vs-scalar equivalence check.
+ALL_BATCH_POLICIES = {
+    **POLICIES,
+    "ELDF": ELDFPolicy,
+    "RoundRobin": RoundRobinPolicy,
+    "StaticPriority": StaticPriorityPolicy,
+}
 
 
 def builder(alpha):
     return video_symmetric_spec(alpha, num_links=6)
 
 
-def _totals(result):
-    return [p.total_deficiency for p in result.points]
-
-
 class TestNormalizeRngMode:
     def test_defaults(self):
-        assert normalize_rng_mode() == "batch"
+        assert normalize_rng_mode() == "free"
         assert normalize_rng_mode(None, sync_rng=True) == "sync"
-        assert RNG_MODES == ("sync", "batch", "free")
+        assert RNG_MODES == ("sync", "free")
 
     @pytest.mark.parametrize("mode", RNG_MODES)
     def test_explicit_modes_pass_through(self, mode):
@@ -62,19 +68,19 @@ class TestNormalizeRngMode:
         with pytest.raises(ValueError, match="unknown rng mode"):
             normalize_rng_mode("quantum")
 
-    @pytest.mark.parametrize("mode", ["batch", "free"])
-    def test_sync_rng_contradiction_rejected(self, mode):
+    def test_sync_rng_contradiction_rejected(self):
         with pytest.raises(ValueError, match="contradicts sync_rng"):
-            normalize_rng_mode(mode, sync_rng=True)
+            normalize_rng_mode("free", sync_rng=True)
 
 
 class TestFreeModeGuards:
-    def test_legacy_backend_rejected(self):
-        with pytest.raises(ValueError, match="legacy backend"):
+    def test_removed_modes_rejected(self):
+        with pytest.raises(ValueError, match="unknown rng mode"):
             run_simulation_batch(
-                builder(0.5), DBDPPolicy(), 10, (0, 1),
-                backend="legacy", rng="free",
+                builder(0.5), DBDPPolicy(), 10, (0, 1), rng="batch"
             )
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend("legacy")
 
     def test_scalar_engine_rejected(self):
         with pytest.raises(ValueError, match="engine='batch' or 'fused'"):
@@ -100,11 +106,15 @@ class TestFreeDeterminismAndDistinctness:
         assert (a.attempts == b.attempts).all()
         assert (a.collisions == b.collisions).all()
 
-    def test_direct_batch_free_differs_from_batch(self):
+    def test_direct_batch_free_is_the_default_and_differs_from_sync(self):
         spec = builder(0.55)
         free = run_simulation_batch(spec, DBDPPolicy(), 200, (0, 1), rng="free")
-        batch = run_simulation_batch(spec, DBDPPolicy(), 200, (0, 1))
-        assert (free.deliveries != batch.deliveries).any()
+        default = run_simulation_batch(spec, DBDPPolicy(), 200, (0, 1))
+        sync = run_simulation_batch(
+            spec, DBDPPolicy(), 200, (0, 1), rng="sync"
+        )
+        assert (free.deliveries == default.deliveries).all()
+        assert (free.deliveries != sync.deliveries).any()
 
     def test_fused_free_sweep_is_deterministic(self):
         kw = dict(num_intervals=150, seeds=(0, 1, 2), rng="free")
@@ -113,22 +123,32 @@ class TestFreeDeterminismAndDistinctness:
         assert a.points == b.points
 
 
+def loaded_builder(alpha):
+    """The paper's N=20 video network: loaded enough that the families
+    separate (the 6-link ``builder`` delivers nearly everything)."""
+    return video_symmetric_spec(alpha, num_links=20)
+
+
+LOADED_VALUES = (0.55, 0.7)
+
+
 class TestFreeStatisticalEquivalence:
-    """Free vs batch disciplines, same harness as test_fused_statistical."""
+    """Free fused sweeps vs the scalar engine, for every batch family;
+    same harness as test_fused_statistical."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
         kw = dict(
             parameter_name="alpha",
-            values=VALUES,
-            spec_builder=builder,
-            policies=POLICIES,
+            values=LOADED_VALUES,
+            spec_builder=loaded_builder,
+            policies=ALL_BATCH_POLICIES,
             num_intervals=INTERVALS,
             seeds=SEEDS,
         )
         free = run_sweep_fused(**kw, rng="free")
-        batch = run_sweep_fused(**kw)
-        return free, batch
+        scalar = run_sweep(**kw, engine="scalar")
+        return free, scalar
 
     @staticmethod
     def _cell(result, policy, value):
@@ -138,92 +158,31 @@ class TestFreeStatisticalEquivalence:
         ]
         return point
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("policy", sorted(ALL_BATCH_POLICIES))
+    @pytest.mark.parametrize("value", LOADED_VALUES)
     def test_means_within_joint_confidence_bound(self, sweeps, policy, value):
-        free, batch = sweeps
+        free, scalar = sweeps
         f = self._cell(free, policy, value)
-        b = self._cell(batch, policy, value)
+        b = self._cell(scalar, policy, value)
         n = len(SEEDS)
         se = math.sqrt(
             (f.deficiency_std**2 + b.deficiency_std**2) / max(n - 1, 1)
         )
         tol = 3.0 * se + 0.02
         assert abs(f.total_deficiency - b.total_deficiency) <= tol, (
-            f"{policy}@{value}: free {f.total_deficiency:.4f} vs batch "
+            f"{policy}@{value}: free {f.total_deficiency:.4f} vs scalar "
             f"{b.total_deficiency:.4f} (tol {tol:.4f})"
         )
 
     def test_collisions_and_overhead_track(self, sweeps):
-        free, batch = sweeps
-        for policy in POLICIES:
-            for value in VALUES:
+        free, scalar = sweeps
+        for policy in ALL_BATCH_POLICIES:
+            for value in LOADED_VALUES:
                 f = self._cell(free, policy, value)
-                b = self._cell(batch, policy, value)
+                b = self._cell(scalar, policy, value)
                 assert abs(f.collisions - b.collisions) <= max(
                     5.0, 0.25 * max(f.collisions, b.collisions)
                 )
                 assert abs(f.mean_overhead_us - b.mean_overhead_us) <= max(
                     5.0, 0.25 * max(f.mean_overhead_us, b.mean_overhead_us)
                 )
-
-
-class TestCapabilityFallback:
-    @pytest.fixture
-    def no_free_family(self):
-        """Re-register RoundRobin with ``supports_free_rng`` withdrawn."""
-        descriptor = registry.descriptor_for(RoundRobinPolicy())
-        stripped = dataclasses.replace(
-            descriptor,
-            capabilities=dataclasses.replace(
-                descriptor.capabilities, supports_free_rng=False
-            ),
-        )
-        registry.unregister(descriptor.name)
-        registry.register(stripped)
-        try:
-            yield descriptor.name
-        finally:
-            registry.unregister(descriptor.name)
-            registry.register(descriptor)
-
-    def test_supports_batch_engine_refuses_free(self, no_free_family):
-        spec = builder(0.5)
-        assert supports_batch_engine(spec, RoundRobinPolicy())
-        assert not supports_batch_engine(spec, RoundRobinPolicy(), rng="free")
-
-    def test_direct_simulator_raises_type_error(self, no_free_family):
-        spec = builder(0.5)
-        with pytest.raises(TypeError, match="supports_free_rng"):
-            BatchIntervalSimulator([spec] * 2, RoundRobinPolicy(), [0, 1],
-                                   rng="free")
-
-    def test_fused_sweep_degrades_with_one_warning(self, no_free_family):
-        kw = dict(num_intervals=80, seeds=(0, 1))
-        policies = {"DB-DP": DBDPPolicy, "RoundRobin": RoundRobinPolicy}
-        with pytest.warns(UserWarning, match="supports_free_rng") as record:
-            free = run_sweep_fused(
-                "alpha", VALUES, builder, policies, rng="free", **kw
-            )
-        assert (
-            len([w for w in record if "supports_free_rng" in str(w.message)])
-            == 1
-        )
-        batch = run_sweep_fused("alpha", VALUES, builder, policies, **kw)
-        # Degraded cells run the default batch discipline: bit-identical
-        # to a plain batch sweep.  Capable cells run genuinely free.
-        for f, b in zip(free.points, batch.points):
-            if f.policy == "RoundRobin":
-                assert f == b
-        assert _totals(free) != _totals(batch)
-
-    def test_run_single_degrades_silently(self, no_free_family):
-        spec = builder(0.5)
-        free = run_single(spec, RoundRobinPolicy, 100, (0, 1), engine="batch",
-                          rng="free")
-        batch = run_single(spec, RoundRobinPolicy, 100, (0, 1), engine="batch")
-        # run_single leaves parameter=NaN (filled by run_sweep); pin it
-        # so dataclass equality compares the measurements.
-        assert dataclasses.replace(free, parameter=0.0) == dataclasses.replace(
-            batch, parameter=0.0
-        )

@@ -8,6 +8,8 @@ against brute-force sequential references on shared inputs.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,16 @@ from repro.experiments.configs import video_symmetric_spec
 from repro.sim.batch_kernels import (
     DRAW_CHUNK,
     BatchDPKernel,
+    BatchPolicyKernel,
     _ChunkedChannelDraws,
     _ChunkedUniforms,
     drain_totals,
     has_batch_kernel,
     make_batch_kernel,
-    solve_ordered_service,
 )
 from repro.sim.batch_sim import BatchIntervalSimulator
+from repro.sim.interval_sim import run_simulation
+from repro.sim.rng import BatchRngBundle
 
 
 def naive_ordered_service(order, backlog, needed_cum, caps):
@@ -57,13 +61,49 @@ def naive_ordered_service(order, backlog, needed_cum, caps):
     return delivered, attempts
 
 
+def solve_ordered_ws(order, backlog, needed_cum, caps, dtype=np.float32):
+    """Run the kernels' workspace ordered-service solver on raw inputs.
+
+    Binds just what ``BatchPolicyKernel._solve_ordered_ws`` reads — the
+    common workspace and a channel-draw object of the requested draw
+    dtype (whose ``totals`` gather the solver uses) — and returns
+    ``(delivered, attempts, attempts_pos)`` with attempts by link and by
+    service position, all int64.
+    """
+    S, N = order.shape
+    A = needed_cum.shape[2]
+    # p = 0.5 keeps the draw dtype float32; a near-zero probability
+    # pushes the worst-case cumsum past 2**24 and selects float64.
+    p = 0.5 if dtype == np.float32 else 1e-9
+    draws = _ChunkedChannelDraws(np.full(N, p), S, A)
+    assert draws.dtype == dtype
+    kernel = SimpleNamespace(
+        num_seeds=S,
+        spec=SimpleNamespace(num_links=N),
+        _a_max=A,
+        _channel_draws=draws,
+    )
+    w = BatchPolicyKernel._alloc_common_ws(kernel)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    backlog = np.ascontiguousarray(backlog, dtype=np.int64)
+    np.add(order, w.row_off, out=w.oflat)
+    BatchPolicyKernel._solve_ordered_ws(
+        kernel, w, order, backlog,
+        np.ascontiguousarray(needed_cum, dtype=dtype),
+        np.asarray(caps, dtype=dtype),
+    )
+    attempts = np.empty((S, N), dtype=np.int64)
+    attempts[np.arange(S)[:, None], order] = w.att_pos
+    return w.delivered.copy(), attempts, w.att_pos.astype(np.int64)
+
+
 class TestSolveOrderedService:
-    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_sequential_reference(self, trial, dtype):
-        """Link-space outputs match the sequential sweep, for both integer
-        and float32 draw blocks (the production pipeline keeps the block
-        in float32 holding exact integers)."""
+        """Link-space outputs match the sequential sweep, for both draw
+        dtypes the production pipeline produces (float32, or float64 when
+        cumulative counts could leave float32's exact-integer range)."""
         rng = np.random.default_rng(100 + trial)
         S, N, A = 7, 6, 4
         order = np.array([rng.permutation(N) for _ in range(S)])
@@ -74,8 +114,8 @@ class TestSolveOrderedService:
         # Caps must be non-increasing along the service order; negatives
         # model positions whose backoff already overruns the interval.
         caps = np.sort(rng.integers(-3, 15, size=(S, N)), axis=1)[:, ::-1]
-        delivered, attempts, attempts_pos = solve_ordered_service(
-            order, backlog, needed_cum.astype(dtype), caps
+        delivered, attempts, attempts_pos = solve_ordered_ws(
+            order, backlog, needed_cum, caps, dtype
         )
         ref_delivered_pos, ref_attempts_pos = naive_ordered_service(
             order, backlog, needed_cum, caps
@@ -95,7 +135,7 @@ class TestSolveOrderedService:
         backlog = np.zeros((1, 3), dtype=np.int64)
         needed_cum = np.ones((1, 3, 2), dtype=np.int64)
         caps = np.full((1, 3), 10, dtype=np.int64)
-        delivered, attempts, _ = solve_ordered_service(
+        delivered, attempts, _ = solve_ordered_ws(
             order, backlog, needed_cum, caps
         )
         assert delivered.sum() == 0 and attempts.sum() == 0
@@ -108,7 +148,7 @@ class TestSolveOrderedService:
             np.array([[3, 6]], dtype=np.int64), (1, 3, 1)
         )  # each link needs 6 attempts to drain
         caps = np.array([[8, 8, 8]], dtype=np.int64)
-        delivered, attempts, attempts_pos = solve_ordered_service(
+        delivered, attempts, attempts_pos = solve_ordered_ws(
             order, backlog, needed_cum, caps
         )
         # Position 0 drains (6 attempts, 2 packets); position 1 gets the
@@ -136,8 +176,7 @@ class TestChunkedChannelDraws:
     The class refills ``depth`` intervals of draws per Generator call;
     these tests pin down that a sequence of intervals spanning one or
     more refills is identical to an unchunked draw of the same stream,
-    for both the in-place fast path and the legacy (``fast=False``)
-    cumsum path, including the ``a_max`` clamp edge at p = 1.
+    including the ``a_max`` clamp edge at p = 1.
     """
 
     S, N, A = 3, 4, 5
@@ -153,15 +192,12 @@ class TestChunkedChannelDraws:
         draws = np.maximum(np.ceil(raw * scale.astype(np.float32)), 1.0)
         return np.cumsum(draws, axis=3)
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_draws_spanning_refill_match_unchunked(self, fast):
+    def test_draws_spanning_refill_match_unchunked(self):
         """10 intervals at depth 4 cross two refill boundaries; every
         block equals the unchunked single-call reference because chunks
         are consecutive slices of one generator stream."""
         probs = np.array([0.6, 0.75, 0.9, 0.8])
-        draws = _ChunkedChannelDraws(
-            probs, self.S, self.A, depth=4, fast=fast
-        )
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, depth=4)
         rng = np.random.default_rng(77)
         got = [draws.next(rng).copy() for _ in range(10)]
         # Three refills of depth 4 consume the same stream values as one
@@ -171,17 +207,19 @@ class TestChunkedChannelDraws:
         for k in range(10):
             np.testing.assert_array_equal(got[k], ref[k])
 
-    def test_fast_path_matches_legacy_cumsum_path(self):
+    def test_inplace_accumulate_matches_cumsum(self):
+        """The refill's in-place slice-add accumulate equals ``np.cumsum``
+        of the same clamped draws, interval by interval."""
         probs = np.array([0.5, 0.7, 0.95, 0.85])
-        a = _ChunkedChannelDraws(probs, self.S, self.A, depth=3, fast=True)
-        b = _ChunkedChannelDraws(probs, self.S, self.A, depth=3, fast=False)
-        ra, rb = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(7):
-            np.testing.assert_array_equal(a.next(ra), b.next(rb))
+        a = _ChunkedChannelDraws(probs, self.S, self.A, depth=3)
+        ra = np.random.default_rng(5)
+        ref = self._unchunked_reference(probs, 9, seed=5)
+        for k in range(7):
+            np.testing.assert_array_equal(a.next(ra), ref[k])
 
     def test_totals_gather_matches_drain_totals_across_refills(self):
         probs = np.array([0.6, 0.8, 0.9, 0.7])
-        fast = _ChunkedChannelDraws(probs, self.S, self.A, depth=2, fast=True)
+        fast = _ChunkedChannelDraws(probs, self.S, self.A, depth=2)
         rng = np.random.default_rng(3)
         back_rng = np.random.default_rng(30)
         for _ in range(5):
@@ -194,15 +232,12 @@ class TestChunkedChannelDraws:
             again = fast.totals(block, backlog)
             np.testing.assert_array_equal(again, drain_totals(block, backlog))
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_p_one_clamps_every_draw_to_one(self, fast):
+    def test_p_one_clamps_every_draw_to_one(self):
         """p = 1 makes the exponential scale 0, so after the >= 1 clamp a
         cumulative block is exactly 1..a_max — including the last slot of
         the last interval in a chunk (the a_max clamp edge)."""
         probs = np.ones(self.N)
-        draws = _ChunkedChannelDraws(
-            probs, self.S, self.A, depth=2, fast=fast
-        )
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, depth=2)
         rng = np.random.default_rng(11)
         expected = np.broadcast_to(
             np.arange(1, self.A + 1, dtype=np.float32),
@@ -234,9 +269,9 @@ class TestKernelDispatch:
         with pytest.raises(TypeError, match="no batch kernel"):
             make_batch_kernel(FCSMAPolicy())
 
-    def test_stochastic_state_rejected_under_lockstep(self):
-        """GE under the lockstep disciplines raises a TypeError naming the
-        channel, the discipline, and both working fallbacks."""
+    def test_stochastic_state_binds_under_both_disciplines(self):
+        """GE state evolves in the free draw pipeline (the default) and in
+        the per-seed sync clones."""
         spec = NetworkSpec.from_delivery_ratios(
             arrivals=BernoulliArrivals.symmetric(3, 0.5),
             channel=GilbertElliottChannel(3),
@@ -244,19 +279,14 @@ class TestKernelDispatch:
             delivery_ratios=0.8,
         )
         kernel = make_batch_kernel(LDFPolicy())
-        with pytest.raises(
-            TypeError,
-            match=(
-                r"GilbertElliottChannel state cannot evolve under the "
-                r"lockstep 'batch' draw discipline of the batch engine; "
-                r"pass rng='free' \(statistically equivalent\) or use "
-                r"engine='scalar'"
-            ),
-        ):
-            kernel.bind(spec, 4, False)
-        # The named fallbacks really do bind.
-        kernel.bind(spec, 4, False, rng="free")
-        make_batch_kernel(LDFPolicy()).bind(spec, 4, True)
+        kernel.bind(spec, 4)
+        assert kernel.rng_mode == "free" and kernel._channel_draws.dynamic
+        make_batch_kernel(LDFPolicy()).bind(spec, 4, rng="sync")
+
+    def test_unknown_rng_mode_rejected(self):
+        kernel = make_batch_kernel(LDFPolicy())
+        with pytest.raises(ValueError, match="unknown rng mode"):
+            kernel.bind(video_symmetric_spec(0.5, num_links=4), 2, rng="batch")
 
     def test_degenerate_state_rejected_with_fallback(self):
         """A GE link whose BAD state never succeeds cannot be pre-drawn
@@ -269,7 +299,47 @@ class TestKernelDispatch:
         )
         kernel = make_batch_kernel(LDFPolicy())
         with pytest.raises(TypeError, match="engine='scalar'"):
-            kernel.bind(spec, 4, False, rng="free")
+            kernel.bind(spec, 4, rng="free")
+
+
+class TestSyncBind:
+    """A kernel bound with ``rng="sync"`` must be the scalar engine, bit
+    for bit: every sync decision (workspace, lite outcomes, clones,
+    channel state) derives from the bound mode alone."""
+
+    @pytest.mark.parametrize(
+        "policy_cls", [DBDPPolicy, LDFPolicy, RoundRobinPolicy]
+    )
+    def test_direct_sync_bind_matches_scalar_engine(self, policy_cls):
+        spec = video_symmetric_spec(0.5)
+        seeds = (3, 4)
+        intervals = 60
+        kernel = make_batch_kernel(policy_cls())
+        # lite=True must be ignored: sync outcomes carry full traces.
+        kernel.bind(spec, len(seeds), rng="sync", lite=True)
+        assert kernel.rng_mode == "sync"
+        assert not kernel._use_ws and len(kernel._clones) == len(seeds)
+        rng = BatchRngBundle(seeds)
+        q = spec.requirement_vector
+        debts = np.zeros((len(seeds), spec.num_links))
+        deliveries, attempts = [], []
+        for k in range(intervals):
+            # Scalar-identical arrivals: each seed's own "arrivals" stream.
+            arrivals = np.stack(
+                [spec.arrivals.sample(b.arrivals) for b in rng.bundles]
+            )
+            outcome = kernel.run_interval(
+                k, arrivals, np.maximum(debts, 0.0), rng
+            )
+            deliveries.append(outcome.deliveries.copy())
+            attempts.append(outcome.attempts.copy())
+            debts += q[None, :] - outcome.deliveries
+        deliveries = np.stack(deliveries)
+        attempts = np.stack(attempts)
+        for i, seed in enumerate(seeds):
+            ref = run_simulation(spec, policy_cls(), intervals, seed=seed)
+            np.testing.assert_array_equal(deliveries[:, i], ref.deliveries)
+            np.testing.assert_array_equal(attempts[:, i], ref.attempts)
 
 
 class TestDPSequentialFallbackEquivalence:

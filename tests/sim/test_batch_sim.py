@@ -35,34 +35,32 @@ class TestConstruction:
         with pytest.raises(TypeError, match="no batch kernel"):
             BatchIntervalSimulator(spec, FCSMAPolicy(), SEEDS)
 
-    def test_stochastic_channel_state_needs_free_rng(self):
+    def test_stochastic_channel_state_runs_under_both_disciplines(self):
         spec = NetworkSpec.from_delivery_ratios(
             arrivals=BernoulliArrivals.symmetric(3, 0.5),
             channel=GilbertElliottChannel(3),
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        with pytest.raises(TypeError, match="rng='free'"):
-            BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
-        # The named fallbacks construct fine.
-        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="free")
-        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, sync_rng=True)
+        # The default free discipline evolves the state vectorized.
+        sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
+        assert sim.rng_mode == "free"
+        sim.run(10)
+        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, sync_rng=True).run(10)
 
-    def test_stateful_arrivals_need_sync_mode(self):
+    def test_stateful_arrivals_run_under_both_disciplines(self):
         spec = NetworkSpec.from_delivery_ratios(
             arrivals=MarkovModulatedArrivals(3, 0.5),
             channel=BernoulliChannel.symmetric(3, 0.8),
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        with pytest.raises(TypeError, match="sync_rng"):
-            BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
         # The sync path drives scalar clones, so stateful arrivals are fine.
         sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, sync_rng=True)
         sim.run(10)
         assert sim.result.num_intervals == 10
-        # Free-draw mode hosts the vectorized batch-state plane.
-        free = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="free")
+        # The default free mode hosts the vectorized batch-state plane.
+        free = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
         free.run(10)
         assert free.result.num_intervals == 10
 
@@ -94,9 +92,10 @@ class TestConstruction:
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        assert not supports_batch_engine(stateful, LDFPolicy())
+        assert supports_batch_engine(stateful, LDFPolicy())
         assert supports_batch_engine(stateful, LDFPolicy(), sync_rng=True)
-        # Free-draw mode hosts stochastic arrival state vectorized.
+        # Free-draw mode (the default) hosts stochastic arrival state
+        # vectorized.
         assert supports_batch_engine(stateful, LDFPolicy(), rng="free")
         from repro.traffic.arrivals import ParetoBurstArrivals
 
@@ -106,7 +105,7 @@ class TestConstruction:
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        assert not supports_batch_engine(pareto, LDFPolicy())
+        assert supports_batch_engine(pareto, LDFPolicy())
         assert supports_batch_engine(pareto, LDFPolicy(), rng="free")
         assert supports_batch_engine(pareto, LDFPolicy(), sync_rng=True)
 
@@ -163,7 +162,7 @@ class TestDebtAccounting:
 
 class TestValidation:
     def _cheat(self, sim):
-        def run_interval(k, arrivals, debts, rng, sync):
+        def run_interval(k, arrivals, debts, rng):
             S, N = arrivals.shape
             return BatchIntervalOutcome(
                 deliveries=arrivals + 1,

@@ -101,34 +101,48 @@ class TestDenseIncrementalBitIdentity:
         _assert_runs_identical(vec, seq, "force_sequential")
 
     def test_free_rng_discipline_identical_across_dp_state(self):
-        # free mode draws different values than batch mode, but dense
-        # and incremental under the *same* discipline must still agree.
+        # The explicit free discipline (also the default) must agree
+        # between dense and incremental.
         _, dense = _run(20, "dense", 200, rng="free")
         _, inc = _run(20, "incremental", 200, rng="free")
         _assert_runs_identical(dense, inc, "rng=free")
 
 
-class TestCrossBackendIdentity:
-    """legacy, numpy-dense, numpy-incremental and the forced-Python jit
-    leg all consume the same draws and must agree bit for bit."""
-
-    def test_n200_all_backends(self, monkeypatch):
-        _, legacy = _run(200, None, 40, backend="legacy")
-        _, dense = _run(200, "dense", 40, backend="numpy")
-        _, inc = _run(200, "incremental", 40, backend="numpy")
-        _assert_runs_identical(legacy, dense, "legacy vs numpy-dense")
-        _assert_runs_identical(dense, inc, "numpy dense vs incremental")
-        # Forced-Python jit: exercises the compiled kernels' exact loop
-        # bodies without numba (the numba leg itself runs in CI).
+@pytest.fixture
+def jit_runnable(monkeypatch):
+    """Make backend='jit' runnable: compiled if numba is present, else
+    forced through the pure-Python loop bodies (the exact code numba
+    would compile; the numba leg itself runs in CI)."""
+    if not jit_kernels.HAS_NUMBA:
         monkeypatch.setattr(jit_kernels, "force_python", True)
-        _, jitpy = _run(200, "incremental", 40, backend="jit")
-        _assert_runs_identical(inc, jitpy, "numpy vs jit-python incremental")
 
-    def test_n2000_dense_vs_incremental(self):
+
+class TestCrossBackendIdentity:
+    """numpy and jit, each dense and incremental, all consume the same
+    free draws and must agree bit for bit."""
+
+    def test_n200_all_backends(self, jit_runnable):
+        runs = {
+            (backend, mode): _run(200, mode, 40, backend=backend, rng="free")
+            for backend in ("numpy", "jit")
+            for mode in ("dense", "incremental")
+        }
+        for (backend, mode), (sim, _) in runs.items():
+            assert (sim.backend, sim.dp_state) == (backend, mode)
+        ref = runs["numpy", "dense"][1]
+        for key, (_, got) in runs.items():
+            _assert_runs_identical(ref, got, f"numpy-dense vs {key}")
+
+    @pytest.mark.parametrize("backend", ["numpy", "jit"])
+    def test_n2000_dense_vs_incremental(self, backend, jit_runnable):
         # The scale the engine exists for; few intervals keep it cheap.
-        _, dense = _run(2000, "dense", 6, seeds=(0, 1))
-        _, inc = _run(2000, "incremental", 6, seeds=(0, 1))
-        _assert_runs_identical(dense, inc, "N=2000")
+        _, dense = _run(
+            2000, "dense", 6, seeds=(0, 1), backend=backend, rng="free"
+        )
+        _, inc = _run(
+            2000, "incremental", 6, seeds=(0, 1), backend=backend, rng="free"
+        )
+        _assert_runs_identical(dense, inc, f"N=2000 {backend}")
 
 
 class TestDpStateResolution:
@@ -138,26 +152,16 @@ class TestDpStateResolution:
     def test_modes_tuple(self):
         assert DP_STATE_MODES == ("dense", "incremental")
 
-    def test_default_is_incremental_for_capable_workspace(self, monkeypatch):
+    def test_default_is_incremental_for_capable_family(self, monkeypatch):
         monkeypatch.delenv("REPRO_DP_STATE", raising=False)
         assert (
-            resolve_dp_state(None, supports_incremental=True, workspace=True)
+            resolve_dp_state(None, supports_incremental=True)
             == "incremental"
         )
 
-    @pytest.mark.parametrize(
-        "supports,workspace", [(False, True), (True, False), (False, False)]
-    )
-    def test_default_is_dense_when_not_capable(
-        self, monkeypatch, supports, workspace
-    ):
+    def test_default_is_dense_when_not_capable(self, monkeypatch):
         monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert (
-            resolve_dp_state(
-                None, supports_incremental=supports, workspace=workspace
-            )
-            == "dense"
-        )
+        assert resolve_dp_state(None, supports_incremental=False) == "dense"
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown dp_state"):
@@ -167,19 +171,13 @@ class TestDpStateResolution:
         with pytest.raises(ValueError, match="supports_incremental_dp"):
             resolve_dp_state("incremental", supports_incremental=False)
 
-    def test_explicit_incremental_on_legacy_raises(self):
-        with pytest.raises(ValueError, match="legacy"):
-            resolve_dp_state(
-                "incremental", supports_incremental=True, workspace=False
-            )
-
     def test_env_request_degrades_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_DP_STATE", "incremental")
         assert (
             resolve_dp_state(None, supports_incremental=False) == "dense"
         )
         assert (
-            resolve_dp_state(None, supports_incremental=True, workspace=True)
+            resolve_dp_state(None, supports_incremental=True)
             == "incremental"
         )
 
@@ -197,8 +195,9 @@ class TestDpStateResolution:
             big, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
         )
         assert sim.dp_state == "incremental"
+        # Sync binds drive the scalar clones: no workspace, no sparse state.
         sim = BatchIntervalSimulator(
-            big, DBDPPolicy(), seeds=(0,), validate=False, backend="legacy"
+            big, DBDPPolicy(), seeds=(0,), validate=False, rng="sync"
         )
         assert sim.dp_state == "dense"
 

@@ -154,7 +154,11 @@ class TestDrawBufferAllocRegression:
         perf.counters.enabled = True
         run_simulation_batch(
             video_symmetric_spec(0.6, num_links=6),
-            DBDPPolicy(),
+            # Two swap pairs: coins *and* candidate subsets come from
+            # uniform chunks (the single-pair candidate is an integer
+            # block, which has no ``out=`` refill; see the free-mode
+            # test below).
+            DBDPPolicy(num_pairs=2),
             num_intervals,
             (0, 1, 2),
             backend="numpy",
@@ -166,11 +170,11 @@ class TestDrawBufferAllocRegression:
         "stage", ["draws.uniform_refill", "draws.channel_refill"]
     )
     def test_refill_allocs_do_not_grow_with_intervals(self, stage):
-        # 80 intervals -> a couple of 64-deep chunks; 400 -> several
-        # more.  Calls must grow with the chunk count, allocations must
-        # not (first-chunk buffer allocation only).
+        # 80 intervals -> one 256-deep chunk; 600 -> three.  Calls must
+        # grow with the chunk count, allocations must not (first-chunk
+        # buffer allocation only).
         short_allocs, short_calls = self._allocs(80, stage)
-        long_allocs, long_calls = self._allocs(400, stage)
+        long_allocs, long_calls = self._allocs(600, stage)
         assert long_calls > short_calls
         assert long_allocs == short_allocs
 

@@ -68,40 +68,47 @@ class TestBatchRngBundle:
             streams[1].random(5), RngBundle(7).channel.random(5)
         )
 
-    def test_batch_streams_reproducible_from_seed_tuple(self):
-        a = BatchRngBundle((0, 1, 2)).batch_stream("channel").random(10)
-        b = BatchRngBundle((0, 1, 2)).batch_stream("channel").random(10)
+    def test_free_streams_reproducible_from_seed_tuple(self):
+        a = BatchRngBundle((0, 1, 2)).free_stream("channel").random(10)
+        b = BatchRngBundle((0, 1, 2)).free_stream("channel").random(10)
         np.testing.assert_array_equal(a, b)
 
-    def test_batch_streams_depend_on_all_seeds(self):
-        """Changing any seed (or the order) reseeds every batch stream:
+    def test_free_streams_depend_on_all_seeds(self):
+        """Changing any seed (or the order) reseeds every free stream:
         the stack is one joint random experiment."""
-        base = BatchRngBundle((0, 1, 2)).batch_stream("channel").random(10)
-        changed = BatchRngBundle((0, 1, 3)).batch_stream("channel").random(10)
-        reordered = BatchRngBundle((2, 1, 0)).batch_stream("channel").random(10)
+        base = BatchRngBundle((0, 1, 2)).free_stream("channel").random(10)
+        changed = BatchRngBundle((0, 1, 3)).free_stream("channel").random(10)
+        reordered = BatchRngBundle((2, 1, 0)).free_stream("channel").random(10)
         assert not np.array_equal(base, changed)
         assert not np.array_equal(base, reordered)
 
-    def test_batch_streams_independent_by_name(self):
+    def test_free_streams_independent_by_name(self):
         batch = BatchRngBundle((0, 1))
         assert not np.array_equal(
-            batch.batch_stream("channel").random(10),
-            batch.batch_stream("policy").random(10),
+            batch.free_stream("channel").random(10),
+            batch.free_stream("policy").random(10),
         )
 
-    def test_batch_namespace_never_collides_with_per_seed(self):
-        """batch_stream('channel') must not alias any scalar stream, even
+    def test_free_namespace_never_collides_with_per_seed(self):
+        """free_stream('channel') must not alias any scalar stream, even
         for a single-seed batch whose entropy equals the scalar seed."""
         batch = BatchRngBundle((5,))
         scalar = RngBundle(5)
         assert not np.array_equal(
-            batch.batch_stream("channel").random(10),
+            batch.free_stream("channel").random(10),
             scalar.stream("channel").random(10),
         )
 
-    def test_batch_stream_is_cached(self):
+    def test_free_stream_is_cached(self):
         batch = BatchRngBundle((0,))
-        assert batch.batch_stream("x") is batch.batch_stream("x")
+        assert batch.free_stream("x") is batch.free_stream("x")
+
+    def test_tagged_free_streams_are_independent(self):
+        untagged = BatchRngBundle((0, 1)).free_stream("channel").random(10)
+        tagged = BatchRngBundle((0, 1), stream_tag="fused")
+        assert not np.array_equal(
+            untagged, tagged.free_stream("channel").random(10)
+        )
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):

@@ -45,8 +45,6 @@ def _run(rng, backend):
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_boundary_conservation(rng, backend, jit_runnable):
-    if backend == "legacy" and rng == "free":
-        pytest.skip("rng='free' is not available on the legacy backend")
     topo, sim, result = _run(rng, backend)
     traces = sim.sim.result
     S = len(SEEDS)

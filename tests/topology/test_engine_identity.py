@@ -41,8 +41,6 @@ def jit_runnable(monkeypatch):
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_disconnected_bit_identical_per_interval(rng, backend, jit_runnable):
-    if backend == "legacy" and rng == "free":
-        pytest.skip("rng='free' is not available on the legacy backend")
     spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
     topo = partition_cells(NUM_LINKS, NUM_CELLS)
     sim = TopologySimulator(
