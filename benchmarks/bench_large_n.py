@@ -4,24 +4,30 @@ The dense workspace DP kernel re-derives the full service order and
 solves an ``(S, N)``-plane timeline (with ``(N, N)`` exclusion matmuls)
 every interval, so its per-interval cost grows as O(S*N^2) even though a
 single interval can only change the priority permutation by one adjacent
-swap and only ``K = min(N, max_transmissions + 1)`` links can possibly
-transmit.  ``dp_state="incremental"`` keeps the inverse permutation and
-serve-order tables alive in the workspace across intervals, applies
-accepted swaps in O(commits), and solves the timeline on the ``(S, K)``
-backlogged serve set only — bit-identical by construction (asserted here
-and in ``tests/sim/test_incremental_dp.py``) and asymptotically flat in
-N outside the O(S*N) candidate/selection scans.
+swap and only ``K = max_transmissions + 1`` links can possibly
+transmit.  The incremental path keeps the inverse permutation alive in
+the workspace across intervals, applies accepted swaps in O(commits),
+and solves the timeline on the ``(S, K)`` backlogged serve set only —
+bit-identical by construction (asserted here and in
+``tests/sim/test_incremental_dp.py``) and asymptotically flat in N
+outside the O(S*N) candidate/selection scans.
 
-This benchmark sweeps N over {20, 100, 500, 2000, 10000} on the video
-workload, asserts bit-identity per N, times both paths interleaved
-(best-of), and records a per-stage ``kernel.dp.*`` decomposition so the
-win is attributable.  The dense leg stops at N=2000: its ``(N, N)``
-exclusion buffer alone is ~800 MB of int64 at N=10000, which is exactly
-the wall the incremental path removes — the N=10000 row therefore
-reports the incremental path's absolute throughput with
-``dense_seconds: null``.  Results land in ``BENCH_LARGE_N.json`` (path
-overridable via ``REPRO_BENCH_LARGE_N_JSON``); the committed full-scale
-measurement is produced with ``REPRO_BENCH_SCALE=1``.
+The kernel picks the path itself: incremental whenever
+``N > max_transmissions + 1`` (61 on the video timing).  This benchmark
+compares the path the kernel selects (the ``incremental_*`` fields;
+``selected_path`` names it — at N=20 it is the dense path, so that row
+compares dense with itself) against the dense reference forced through
+the kernel's private ``_force_dense`` hook.  It sweeps N over {20, 100,
+500, 2000, 10000} on the video workload, asserts bit-identity per N,
+times both paths interleaved (best-of), and records a per-stage
+``kernel.dp.*`` decomposition so the win is attributable.  The dense
+leg stops at N=2000: its ``(N, N)`` exclusion buffer alone is ~800 MB
+of int64 at N=10000, which is exactly the wall the incremental path
+removes — the N=10000 row therefore reports the incremental path's
+absolute throughput with ``dense_seconds: null``.  Results land in
+``BENCH_LARGE_N.json`` (path overridable via
+``REPRO_BENCH_LARGE_N_JSON``); the committed full-scale measurement is
+produced with ``REPRO_BENCH_SCALE=1``.
 
 Comparing the paths means comparing the *sum* of their ``kernel.dp.*``
 stages (the incremental path reports its state upkeep under
@@ -36,12 +42,14 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.sim import perf
+from repro.sim.batch_kernels import BatchDPKernel
 from repro.sim.batch_sim import BatchIntervalSimulator
 
 from _bench_utils import bench_intervals
@@ -73,24 +81,27 @@ def _output_path() -> Path:
     )
 
 
-def _build(n: int, dp_state: str) -> BatchIntervalSimulator:
+def _build(n: int, mode: str) -> BatchIntervalSimulator:
+    """``mode="dense"`` forces the dense reference; ``"incremental"``
+    binds the path the kernel selects."""
     spec = video_symmetric_spec(ALPHA, num_links=n)
-    return BatchIntervalSimulator(
-        spec,
-        DBDPPolicy(),
-        seeds=range(NUM_SEEDS),
-        record_traces=False,  # stats-only: O(S*N) memory at N=10000
-        validate=False,
-        dp_state=dp_state,
-    )
+    with mock.patch.object(BatchDPKernel, "_force_dense", mode == "dense"):
+        return BatchIntervalSimulator(
+            spec,
+            DBDPPolicy(),
+            seeds=range(NUM_SEEDS),
+            record_traces=False,  # stats-only: O(S*N) memory at N=10000
+            validate=False,
+        )
 
 
 def _assert_identical(n: int) -> None:
-    """Dense and incremental must produce bit-identical streaming stats."""
+    """Dense and the selected path must produce bit-identical stats."""
     stats = {}
     for mode in ("dense", "incremental"):
         sim = _build(n, mode)
-        assert sim.dp_state == mode
+        if mode == "dense":
+            assert sim.dp_state == "dense"
         stats[mode] = sim.run(IDENTITY_INTERVALS)
     d, i = stats["dense"], stats["incremental"]
     assert np.array_equal(d.delivery_sums, i.delivery_sums), (
@@ -110,15 +121,16 @@ def _time_run(n: int, mode: str, intervals: int) -> float:
     return time.perf_counter() - t0
 
 
-def _stage_run(n: int, mode: str, intervals: int) -> dict:
-    """One instrumented run; returns the perf-stage snapshot."""
+def _stage_run(n: int, mode: str, intervals: int) -> tuple:
+    """One instrumented run; returns the bound path and the perf-stage
+    snapshot."""
     was_enabled = perf.counters.enabled
     sim = _build(n, mode)
     perf.reset()
     perf.enable()
     try:
         sim.run(intervals)
-        return perf.counters.snapshot()
+        return sim.dp_state, perf.counters.snapshot()
     finally:
         perf.counters.enabled = was_enabled
         perf.reset()
@@ -154,10 +166,11 @@ def test_large_n_scaling():
             for mode in legs:  # interleaved: noise hits both equally
                 best[mode] = min(best[mode], _time_run(n, mode, intervals))
 
-        inc_stages = _stage_run(n, "incremental", intervals)
+        selected, inc_stages = _stage_run(n, "incremental", intervals)
         inc_dp = _dp_seconds(inc_stages)
         entry = {
             "num_links": n,
+            "selected_path": selected,
             "num_intervals": intervals,
             "num_seeds": NUM_SEEDS,
             "alpha": ALPHA,
@@ -173,7 +186,7 @@ def test_large_n_scaling():
             ),
         }
         if dense_leg:
-            dense_stages = _stage_run(n, "dense", intervals)
+            _, dense_stages = _stage_run(n, "dense", intervals)
             dense_dp = _dp_seconds(dense_stages)
             entry.update(
                 {

@@ -1,7 +1,7 @@
 """Multi-cell topology layer throughput: 10k links as cell-parallel rows.
 
-The single-domain DP engine has a structural wall at large N: even with
-``dp_state="incremental"`` every interval still scans all N links, and
+The single-domain DP engine has a structural wall at large N: even on
+the incremental DP path every interval still scans all N links, and
 the committed BENCH_LARGE_N.json baseline manages ~106 intervals/sec at
 N=10000.  The topology layer (``repro.topology``) removes the wall by
 partitioning the 10,000 links into 400 interference cells of 25 links
@@ -134,7 +134,6 @@ def test_topology_scaling():
         seeds=range(NUM_SEEDS),
         record_traces=False,
         validate=False,
-        dp_state="incremental",
     )
     gc.collect()
     t0 = time.perf_counter()

@@ -55,7 +55,7 @@ from .core.influence import (
     PowerInfluence,
 )
 from .core.policies import IntervalMac, IntervalOutcome
-from .core.registry import PolicyCapabilities, PolicyDescriptor
+from .core.registry import PolicyDescriptor
 from .core.requirements import NetworkSpec
 from .core.static_priority import StaticPriorityPolicy
 from .phy.channel import (
@@ -152,5 +152,4 @@ __all__ = [
     # policy registry
     "registry",
     "PolicyDescriptor",
-    "PolicyCapabilities",
 ]

@@ -154,7 +154,7 @@ def apply_swap_to_order(order: List[int], c: int) -> Tuple[int, int]:
     This is the O(1) incremental counterpart of
     :func:`apply_adjacent_swap`: engines that maintain the order view
     across intervals (scalar :class:`~repro.core.dp_protocol.DPProtocol`,
-    the batch kernel's ``dp_state="incremental"`` path) apply each
+    the batch kernel's incremental priority-state path) apply each
     accepted swap here instead of re-deriving the order from ``sigma``.
     """
     if not 1 <= c <= len(order) - 1:

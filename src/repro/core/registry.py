@@ -18,10 +18,11 @@ switches with a single source of truth: each policy family registers one
   :meth:`PolicyDescriptor.build`) used for cache fingerprints and
   by-name construction,
 * an optional batch-kernel factory (a lazy ``"module:Class"`` reference,
-  so policy modules never import the simulation engine), and
-* declarative :class:`PolicyCapabilities` flags consumed by the engine
-  dispatch sites (``batchable``, ``fusable``, ``supports_sync_rng``,
-  ``supports_per_row_params``, ``jit_stages``).
+  so policy modules never import the simulation engine).  Having one is
+  the only fact the engines ask about a family (:func:`has_kernel`):
+  a family with a kernel runs on every vectorized path (batch, fused,
+  sync, topology, stateful channels); kernels still vet a *particular*
+  stack at bind time and raise ``TypeError`` when it cannot stack.
 
 Adding a new policy is now a one-file change::
 
@@ -40,11 +41,11 @@ Adding a new policy is now a one-file change::
         from_config=lambda c: MyPolicy(knob=c["knob"]),
     ))
 
-With no capability flags the policy is scalar-only: every engine
+Without a ``batch_kernel`` the policy is scalar-only: every engine
 (``engine="batch"``/``"fused"`` included) transparently falls back to the
 scalar interval simulator for it, and its sweep cells are cacheable with
-no further code.  Declaring ``capabilities`` + ``batch_kernel`` later
-upgrades it to the vectorized paths without touching any dispatch site.
+no further code.  Declaring a ``batch_kernel`` later upgrades it to the
+vectorized paths without touching any dispatch site.
 
 This module deliberately owns the only ``isinstance``-on-policy logic in
 the package (a CI lint enforces that it stays that way).
@@ -55,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -69,7 +70,6 @@ from typing import (
 )
 
 __all__ = [
-    "PolicyCapabilities",
     "PolicyDescriptor",
     "register",
     "unregister",
@@ -113,83 +113,6 @@ _BUILTIN_POLICY_MODULES = (
 )
 
 
-@dataclass(frozen=True)
-class PolicyCapabilities:
-    """What the performance layers may do with a policy family.
-
-    Attributes
-    ----------
-    batchable:
-        The family has a vectorized batch kernel
-        (``PolicyDescriptor.batch_kernel``); ``engine="batch"`` runs all
-        seeds of a cell at once instead of falling back to scalar runs.
-    fusable:
-        Cells of this family may join a grid-fused mega-batch
-        (:func:`repro.experiments.grid.run_sweep_fused`).  Requires
-        ``batchable``; kernels may still reject a *particular* stack at
-        bind time (heterogeneous timings, unstackable parameters), which
-        degrades to per-cell simulation.
-    supports_sync_rng:
-        The kernel's ``sync_rng=True`` mode (scalar-identical streams,
-        bit-exact against the scalar engine) is available.
-    supports_per_row_params:
-        Fused rows may carry per-row policy parameters (e.g. the DP
-        kernel's per-row Glauber constants); families without it require
-        every fused row to share one configuration.
-    supports_incremental_dp:
-        The batch kernel maintains its priority state incrementally
-        (``dp_state="incremental"``): the permutation, its inverse and
-        the serve-order tables persist in the workspace across intervals
-        and only accepted adjacent swaps are applied, so the per-interval
-        cost tracks the protocol's O(num_pairs) moves instead of N.
-        Bit-identical to the dense recompute; families without it always
-        run dense.
-    supports_topology:
-        The family can run under the multi-cell interference-graph layer
-        (:mod:`repro.topology`): its batch kernel draws every random
-        input through the swappable chunked draw objects, so the
-        topology engine can key each cell's randomness to the cell's own
-        streams.  Families without it degrade to single-domain runs (the
-        runner warns once per sweep).  Requires ``batchable``.
-    supports_markov_channel:
-        The family's batch kernel consumes channel randomness exclusively
-        through the chunked channel-draw object, so a stateful channel's
-        per-interval state (Gilbert-Elliott Markov evolution, time-varying
-        schedules) can be threaded in as dynamic per-chunk probability
-        planes.  Families without it degrade to the scalar engine for
-        stateful channels (the runner warns once per sweep).  Requires
-        ``batchable``.
-    jit_stages:
-        Names of the kernel's Numba-compilable stages
-        (:mod:`repro.sim.jit_kernels`); empty for pure-NumPy kernels.
-    """
-
-    batchable: bool = False
-    fusable: bool = False
-    supports_sync_rng: bool = True
-    supports_per_row_params: bool = False
-    supports_incremental_dp: bool = False
-    supports_topology: bool = False
-    supports_markov_channel: bool = False
-    jit_stages: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.fusable and not self.batchable:
-            raise ValueError("a fusable policy family must be batchable")
-        if self.supports_topology and not self.batchable:
-            raise ValueError(
-                "a topology-capable policy family must be batchable"
-            )
-        if self.supports_markov_channel and not self.batchable:
-            raise ValueError(
-                "a markov-channel-capable policy family must be batchable"
-            )
-
-
-#: Scalar-only capability set (the default): every engine falls back to
-#: the scalar interval simulator.
-SCALAR_ONLY = PolicyCapabilities()
-
 #: Sentinel distinguishing "factory omitted" (defaults to the policy
 #: class) from an explicit ``factory=None`` (no default construction).
 _FACTORY_UNSET: Any = object()
@@ -221,8 +144,6 @@ class PolicyDescriptor:
         Lazy ``"module:ClassName"`` reference to the family's
         :class:`~repro.sim.batch_kernels.BatchPolicyKernel`, or a
         callable ``policy -> kernel``; ``None`` for scalar-only families.
-    capabilities:
-        Declarative capability flags; see :class:`PolicyCapabilities`.
     """
 
     name: str
@@ -231,23 +152,12 @@ class PolicyDescriptor:
     from_config: Callable[[dict], Any]
     factory: Optional[Callable[[], Any]] = _FACTORY_UNSET
     batch_kernel: Union[None, str, Callable[[Any], Any]] = None
-    capabilities: PolicyCapabilities = field(default=SCALAR_ONLY)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("descriptor needs a non-empty name")
         if self.factory is _FACTORY_UNSET:
             object.__setattr__(self, "factory", self.policy_class)
-        if self.capabilities.batchable and self.batch_kernel is None:
-            raise ValueError(
-                f"descriptor {self.name!r} declares batchable=True but "
-                "supplies no batch_kernel"
-            )
-        if self.batch_kernel is not None and not self.capabilities.batchable:
-            raise ValueError(
-                f"descriptor {self.name!r} supplies a batch_kernel but "
-                "declares batchable=False"
-            )
 
     # -- construction --------------------------------------------------
     def build(self, config: Optional[Mapping[str, Any]] = None) -> Any:
@@ -429,7 +339,7 @@ def policy_config(policy: Any) -> Optional[dict]:
 def has_kernel(policy: Any) -> bool:
     """Whether ``policy`` resolves to a family with a batch kernel."""
     descriptor = descriptor_for(policy)
-    return descriptor is not None and descriptor.capabilities.batchable
+    return descriptor is not None and descriptor.batch_kernel is not None
 
 
 def make_kernel(policy: Any) -> Any:
@@ -439,17 +349,15 @@ def make_kernel(policy: Any) -> Any:
     naming the batchable families, so engine callers can fall back.
     """
     descriptor = descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.batchable:
+    if descriptor is None or descriptor.batch_kernel is None:
         batchable = [
-            n for n in available() if get(n).capabilities.batchable
+            n for n in available() if get(n).batch_kernel is not None
         ]
         raise TypeError(
             f"no batch kernel for policy {type(policy).__name__!r}; "
             f"batchable families: {', '.join(batchable)}"
         )
-    factory = descriptor.kernel_factory()
-    assert factory is not None  # batchable guarantees a kernel reference
-    return factory(policy)
+    return descriptor.kernel_factory()(policy)
 
 
 def same_kernel_family(a: Any, b: Any) -> bool:

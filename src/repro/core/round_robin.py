@@ -78,7 +78,6 @@ class RoundRobinPolicy(IntervalMac):
 # Registry descriptor (repro.core.registry).
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
-from .eldf import ORDERED_SERVICE_CAPABILITIES  # noqa: E402
 
 _registry.register(
     _registry.PolicyDescriptor(
@@ -87,6 +86,5 @@ _registry.register(
         to_config=lambda policy: {},
         from_config=lambda config: RoundRobinPolicy(),
         batch_kernel="repro.sim.batch_kernels:BatchRoundRobinKernel",
-        capabilities=ORDERED_SERVICE_CAPABILITIES,
     )
 )

@@ -167,17 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine fused unless --engine is given)",
     )
     parser.add_argument(
-        "--dp-state",
-        choices=["dense", "incremental"],
-        default=None,
-        dest="dp_state",
-        help="DP-family priority-state maintenance for the batch/fused "
-        "engines: 'dense' rebuilds the service order every interval, "
-        "'incremental' maintains it across intervals with O(swaps) "
-        "updates and a serve-set timeline solve (bit-identical, much "
-        "faster at large link counts; default: capability-resolved)",
-    )
-    parser.add_argument(
         "--csv",
         action="store_true",
         help="emit CSV instead of aligned tables",
@@ -305,12 +294,11 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
                 kwargs["engine"] = args.engine
             elif (args.rng is not None or args.shards is not None
                   or args.backend is not None
-                  or args.dp_state is not None
                   or args.cells is not None
                   or args.channel is not None
                   or args.arrivals is not None):
-                # --rng/--shards/--backend/--dp-state/--cells/--channel/
-                # --arrivals are sweep-engine features; land them on the
+                # --rng/--shards/--backend/--cells/--channel/--arrivals
+                # are sweep-engine features; land them on the
                 # fused engine instead of erroring on the figures' scalar
                 # default.
                 kwargs["engine"] = "fused"
@@ -332,8 +320,6 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
                 kwargs["shards"] = args.shards
             if args.backend is not None:
                 kwargs["backend"] = args.backend
-            if args.dp_state is not None:
-                kwargs["dp_state"] = args.dp_state
     result = func(**kwargs)
     if args.outdir is not None:
         os.makedirs(args.outdir, exist_ok=True)

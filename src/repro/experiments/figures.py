@@ -198,7 +198,6 @@ def fig3(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -242,7 +241,6 @@ def fig3(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(
@@ -264,7 +262,6 @@ def fig4(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -291,7 +288,6 @@ def fig4(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(
@@ -389,7 +385,6 @@ def fig7(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -417,7 +412,6 @@ def fig7(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(
@@ -441,7 +435,6 @@ def fig8(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -468,7 +461,6 @@ def fig8(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(
@@ -492,7 +484,6 @@ def fig9(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -519,7 +510,6 @@ def fig9(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(
@@ -541,7 +531,6 @@ def fig10(
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
     channel=None,
     arrivals=None,
@@ -567,7 +556,6 @@ def fig10(
         rng=rng,
         shards=shards,
         backend=backend,
-        dp_state=dp_state,
         topology=topology,
     )
     return _sweep_to_figure(

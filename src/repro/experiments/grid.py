@@ -71,9 +71,6 @@ from .parallel import _CellState, _Orchestrator
 from .runner import (
     SweepPoint,
     SweepResult,
-    _check_dp_state,
-    _policy_supports_incremental,
-    _policy_supports_topology,
     _resolve_topology,
     _run_single_topology,
     _warn_topology_degrade,
@@ -132,21 +129,18 @@ def _partition(
 ) -> Tuple[Dict[Tuple, List[_Cell]], List[_Cell]]:
     """Split unresolved cells into fusable mega-batch groups and fallbacks.
 
-    Fusability is a declared capability (the registry's ``fusable`` flag,
-    via supports_batch_engine) — scalar-only families (DCF, FCSMA,
-    frame-CSMA) land in the fallback path declaratively rather than as
-    the implicit ``else`` of a type switch.
+    A cell is fusable when its family has a batch kernel and the
+    (spec, policy) pair runs on the batch engine
+    (:func:`~repro.sim.batch_sim.supports_batch_engine`) — scalar-only
+    families (DCF, FCSMA, frame-CSMA) land in the fallback path through
+    the registry rather than as the implicit ``else`` of a type switch.
     """
     fused_groups: Dict[Tuple, List[_Cell]] = {}
     fallback: List[_Cell] = []
     for cell in cells:
         if cell.point is not None:
             continue
-        descriptor = registry.descriptor_for(cell.policy)
-        fusable = descriptor is not None and descriptor.capabilities.fusable
-        if fusable and supports_batch_engine(
-            cell.spec, cell.policy, rng=rng_mode
-        ):
+        if supports_batch_engine(cell.spec, cell.policy, rng=rng_mode):
             key = _group_signature(cell)
             fused_groups.setdefault(key, []).append(cell)
         else:
@@ -209,7 +203,6 @@ def _build_fused_sim(
     validate: bool,
     backend: Optional[str],
     stream_tag: str = FUSED_STREAM_TAG,
-    dp_state: Optional[str] = None,
 ) -> Optional[BatchIntervalSimulator]:
     """Stack one group's cells into a mega-batch simulator.
 
@@ -219,19 +212,6 @@ def _build_fused_sim(
     turn into a per-cell fallback (``None``).  Errors raised
     mid-simulation are real failures and propagate from the run loop.
     """
-    if dp_state is not None:
-        descriptor = registry.descriptor_for(cells[0].policy)
-        if (
-            descriptor is None
-            or not descriptor.capabilities.supports_incremental_dp
-        ):
-            # A sweep-level dp_state request addresses the DP-family
-            # groups; a family without the capability runs exactly as
-            # it would with dp_state=None instead of letting the
-            # kernel's strict ValueError demote the whole group to the
-            # per-cell fallback (whose different stream tags would
-            # silently change the group's draws).
-            dp_state = None
     num_seeds = len(seeds)
     row_specs: List[NetworkSpec] = []
     row_seeds: List[int] = []
@@ -253,7 +233,6 @@ def _build_fused_sim(
             row_policies=row_policies,
             stream_tag=stream_tag,
             backend=backend,
-            dp_state=dp_state,
         )
     except (TypeError, ValueError):
         return None
@@ -270,7 +249,6 @@ def _run_fused_group_with_faults(
     faults: FaultPolicy,
     failures: List[CellFailure],
     fallback: List[_Cell],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Run one mega-batch group under a fault policy.
 
@@ -287,9 +265,7 @@ def _run_fused_group_with_faults(
         try:
             for cell in cells:
                 fire_fault_hooks(cell.value, cell.label, attempt)
-            sim = _build_fused_sim(
-                cells, seeds, rng_mode, validate, backend, dp_state=dp_state
-            )
+            sim = _build_fused_sim(cells, seeds, rng_mode, validate, backend)
             if sim is None:
                 fallback.extend(cells)
                 return
@@ -335,7 +311,6 @@ def _simulate_cells(
     groups: Optional[Sequence[int]],
     stream_tag: str,
     fallback: List[_Cell],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Partition, build, lockstep-run, and scatter one batch of cells.
 
@@ -349,8 +324,7 @@ def _simulate_cells(
     with perf.stage("fused.build"):
         for group_cells in fused_groups.values():
             sim = _build_fused_sim(
-                group_cells, seeds, rng_mode, validate, backend, stream_tag,
-                dp_state=dp_state,
+                group_cells, seeds, rng_mode, validate, backend, stream_tag
             )
             if sim is None:
                 fallback.extend(group_cells)
@@ -409,7 +383,6 @@ def _run_shard(
     rng_mode: str,
     validate: bool,
     backend: Optional[str],
-    dp_state: Optional[str],
     attempt: int,
 ) -> Tuple[_ShardSpec, List[Tuple[float, str, SweepPoint]]]:
     """Worker-side execution of one shard (module-level, picklable)."""
@@ -433,7 +406,7 @@ def _run_shard(
     fallback: List[_Cell] = []
     _simulate_cells(
         cells, seeds, rng_mode, validate, backend, num_intervals, groups,
-        _shard_tag(shard.index, shard.count), fallback, dp_state=dp_state,
+        _shard_tag(shard.index, shard.count), fallback,
     )
     for cell in fallback:
         cell.point = run_single(
@@ -507,7 +480,6 @@ def _run_sweep_fused_sharded(
     store: Optional[SweepCache],
     shards: int,
     failures: List[CellFailure],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Split the grid into row-contiguous shards and dispatch them.
 
@@ -560,7 +532,7 @@ def _run_sweep_fused_sharded(
     submit_args = (
         spec_builder, policies, num_intervals, seeds,
         tuple(groups) if groups is not None else None,
-        rng_mode, validate, backend, dp_state,
+        rng_mode, validate, backend,
     )
     try:
         pickle.dumps((spec_builder, policies))
@@ -645,19 +617,19 @@ def _run_sweep_topology(
     rng_mode: str,
     validate: bool,
     backend: Optional[str],
-    dp_state: Optional[str],
     store: Optional[SweepCache],
     faults: Optional[FaultPolicy],
     topology,
     shards: Optional[int],
 ) -> SweepResult:
-    """Multi-cell sweep: capable cells run on the topology engine.
+    """Multi-cell sweep: cells with a batch kernel run on the topology
+    engine.
 
-    Each capable (value, policy) cell is already a mega-batch — every
+    Each such (value, policy) cell is already a mega-batch — every
     (seed, cell-of-topology) pair is one engine row, and ``shards``
     splits the *cells of the topology* across worker processes
     (:func:`~repro.topology.engine.run_topology_batch`) instead of
-    splitting the sweep grid.  Families without ``supports_topology``
+    splitting the sweep grid.  Families without a batch kernel
     degrade to the per-cell batch runner with one ``UserWarning`` and
     are cached under the same key a topology-free sweep would use (they
     compute the identical point).
@@ -666,7 +638,7 @@ def _run_sweep_topology(
     degraded = [
         label
         for label, factory in policies.items()
-        if not _policy_supports_topology(factory())
+        if not registry.has_kernel(factory())
     ]
     if degraded:
         _warn_topology_degrade(degraded, stacklevel=4)
@@ -679,9 +651,6 @@ def _run_sweep_topology(
         for label, factory in policies.items():
             policy = factory()
             capable = label not in degraded
-            eff_dp = (
-                dp_state if _policy_supports_incremental(policy) else None
-            )
             key = None
             point = None
             if store is not None:
@@ -703,18 +672,16 @@ def _run_sweep_topology(
             if point is None:
 
                 def _compute(spec=spec, policy=policy, factory=factory,
-                             topo=topo, capable=capable, eff_dp=eff_dp):
+                             topo=topo, capable=capable):
                     if capable:
                         return _run_single_topology(
                             spec, policy, num_intervals, seeds, groups,
                             topo, backend=backend, rng=rng_mode,
-                            dp_state=eff_dp, validate=validate,
-                            shards=shards,
+                            validate=validate, shards=shards,
                         )
                     return run_single(
                         spec, factory, num_intervals, seeds, groups,
                         engine="batch", backend=backend, rng=rng_mode,
-                        dp_state=dp_state,
                     )
 
                 if faults is None:
@@ -762,7 +729,6 @@ def run_sweep_fused(
     cache: Union[None, bool, str, SweepCache] = None,
     validate: bool = True,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     faults: Optional[FaultPolicy] = None,
     topology=None,
 ) -> SweepResult:
@@ -803,12 +769,6 @@ def run_sweep_fused(
         Kernel backend for the mega-batches
         (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`); all backends
         are bit-identical, so the cache key deliberately excludes it.
-    dp_state:
-        DP-family priority-state maintenance mode
-        (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``,
-        ``"incremental"``, or ``None`` (resolve from the environment and
-        the family capability).  Both modes are bit-identical, so —
-        like ``backend`` — the cache key deliberately excludes it.
     faults:
         ``None`` (default) keeps fail-fast semantics.  A
         :class:`~repro.experiments.faults.FaultPolicy` retries failures
@@ -824,20 +784,18 @@ def run_sweep_fused(
         optimization.
     topology:
         A :class:`~repro.topology.graph.CellTopology` — or a builder
-        called with each value's spec — switches capable policy families
-        (``supports_topology``) onto the multi-cell engine: every
-        (seed, cell) pair of the topology becomes one engine row, and
-        ``shards`` splits the topology's cells across worker processes
-        instead of splitting the sweep grid.  Families without the
-        capability degrade to the per-cell batch runner with one
-        ``UserWarning`` per sweep.
+        called with each value's spec — switches policy families with a
+        batch kernel onto the multi-cell engine: every (seed, cell) pair
+        of the topology becomes one engine row, and ``shards`` splits the
+        topology's cells across worker processes instead of splitting the
+        sweep grid.  Families without one degrade to the per-cell batch
+        runner with one ``UserWarning`` per sweep.
     """
     if num_intervals <= 0:
         raise ValueError(f"num_intervals must be positive, got {num_intervals}")
     if not seeds:
         raise ValueError("need at least one seed")
     rng_mode = normalize_rng_mode(rng, sync_rng)
-    _check_dp_state(dp_state)
     if shards is not None and int(shards) < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     seeds = tuple(int(s) for s in seeds)
@@ -847,8 +805,8 @@ def run_sweep_fused(
     if topology is not None:
         return _run_sweep_topology(
             parameter_name, values, spec_builder, policies, num_intervals,
-            seeds, groups, rng_mode, validate, backend, dp_state, store,
-            faults, topology, shards,
+            seeds, groups, rng_mode, validate, backend, store, faults,
+            topology, shards,
         )
 
     cells: List[_Cell] = []
@@ -893,12 +851,12 @@ def run_sweep_fused(
         _run_sweep_fused_sharded(
             cells, spec_builder, policies, num_intervals, seeds, groups,
             rng_mode, validate, backend, faults, store, int(shards),
-            failures, dp_state=dp_state,
+            failures,
         )
     elif faults is None:
         _simulate_cells(
             cells, seeds, rng_mode, validate, backend, num_intervals,
-            groups, FUSED_STREAM_TAG, fallback, dp_state=dp_state,
+            groups, FUSED_STREAM_TAG, fallback,
         )
     else:
         # Faulty groups must be rebuildable in isolation, so each group
@@ -910,7 +868,6 @@ def run_sweep_fused(
                 _run_fused_group_with_faults(
                     group_cells, seeds, rng_mode, validate, backend,
                     num_intervals, groups, faults, failures, fallback,
-                    dp_state=dp_state,
                 )
 
     for cell in fallback:

@@ -104,23 +104,6 @@ class SweepResult:
         return seen
 
 
-def _policy_supports_incremental(policy: object) -> bool:
-    """Whether the family declares ``supports_incremental_dp``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None
-        and descriptor.capabilities.supports_incremental_dp
-    )
-
-
-def _policy_supports_topology(policy: object) -> bool:
-    """Whether the family declares ``supports_topology``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_topology
-    )
-
-
 def _resolve_topology(topology, spec: NetworkSpec):
     """A concrete :class:`~repro.topology.graph.CellTopology` for ``spec``.
 
@@ -144,9 +127,9 @@ def _resolve_topology(topology, spec: NetworkSpec):
 
 def _warn_topology_degrade(labels: Sequence[str], stacklevel: int = 3) -> None:
     warnings.warn(
-        "topology= is ignored for policy families without the "
-        f"supports_topology capability: {', '.join(labels)}; those cells "
-        "run single-domain exactly as they would without a topology",
+        "topology= is ignored for policy families with no batch kernel: "
+        f"{', '.join(labels)}; those cells run single-domain exactly as "
+        "they would without a topology",
         UserWarning,
         stacklevel=stacklevel,
     )
@@ -161,7 +144,6 @@ def _run_single_topology(
     topology,
     backend: Optional[str] = None,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
 ) -> SweepPoint:
@@ -176,7 +158,6 @@ def _run_single_topology(
         num_intervals,
         rng=rng,
         backend=backend,
-        dp_state=dp_state,
         validate=validate,
         shards=shards,
     )
@@ -208,21 +189,6 @@ def _run_single_topology(
     )
 
 
-def _check_dp_state(dp_state: Optional[str]) -> None:
-    """Reject unknown ``dp_state`` strings before any per-family degrade.
-
-    Non-DP families run with the request nulled out, which would
-    otherwise let a typo pass silently.
-    """
-    from ..sim.batch_kernels import DP_STATE_MODES
-
-    if dp_state is not None and dp_state not in DP_STATE_MODES:
-        raise ValueError(
-            f"unknown dp_state {dp_state!r}; expected one of "
-            f"{DP_STATE_MODES} or None"
-        )
-
-
 def _run_single_batch(
     spec: NetworkSpec,
     policy,
@@ -231,12 +197,10 @@ def _run_single_batch(
     groups: Optional[Sequence[int]],
     backend: Optional[str] = None,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
 ) -> SweepPoint:
     """One (spec, policy) cell on the batch engine: all seeds in one run."""
     batch = run_simulation_batch(
-        spec, policy, num_intervals, seeds, backend=backend, rng=rng,
-        dp_state=dp_state,
+        spec, policy, num_intervals, seeds, backend=backend, rng=rng
     )
     totals = batch.total_deficiency()  # (S,)
     collisions = batch.collisions.sum(axis=0).astype(float)  # (S,)
@@ -277,7 +241,6 @@ def run_single(
     engine: str = "scalar",
     backend: Optional[str] = None,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> SweepPoint:
     """Average one policy's deficiency on one spec across seeds.
@@ -292,19 +255,14 @@ def run_single(
     backend (ignored by the scalar engine); all backends are
     bit-identical.  ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`; ``None`` is ``"free"``) and is
-    rejected on the scalar engine.  ``dp_state`` selects the
-    DP-family priority-state maintenance mode
-    (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`; batch/fused
-    engines only, bit-identical either way).  ``topology`` — a
+    rejected on the scalar engine.  ``topology`` — a
     :class:`~repro.topology.graph.CellTopology` or a builder called with
-    the spec — runs capable families (``supports_topology``) through the
-    multi-cell engine (:func:`~repro.topology.engine.run_topology_batch`);
-    non-capable families degrade to the single-domain path with one
-    ``UserWarning``.
+    the spec — runs families with a batch kernel through the multi-cell
+    engine (:func:`~repro.topology.engine.run_topology_batch`); the
+    others degrade to the single-domain path with one ``UserWarning``.
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    _check_dp_state(dp_state)
     if rng is not None and engine == "scalar":
         raise ValueError(
             f"rng={rng!r} requires engine='batch' or 'fused'; the scalar "
@@ -317,24 +275,17 @@ def run_single(
         )
     if engine in ("batch", "fused"):
         policy = factory()
-        eff_dp = dp_state
-        if dp_state is not None and not _policy_supports_incremental(policy):
-            # A sweep-level dp_state request addresses the DP family;
-            # other families run exactly as with dp_state=None (direct
-            # run_simulation_batch calls stay strict).
-            eff_dp = None
         if topology is not None:
-            if _policy_supports_topology(policy):
+            if registry.has_kernel(policy):
                 return _run_single_topology(
                     spec, policy, num_intervals, seeds, groups,
                     _resolve_topology(topology, spec),
-                    backend=backend, rng=rng, dp_state=eff_dp,
+                    backend=backend, rng=rng,
                 )
             _warn_topology_degrade([registry.policy_label(policy)])
         if supports_batch_engine(spec, policy, rng=rng):
             return _run_single_batch(
-                spec, policy, num_intervals, seeds, groups, backend, rng,
-                eff_dp,
+                spec, policy, num_intervals, seeds, groups, backend, rng
             )
     totals: List[float] = []
     group_totals: List[np.ndarray] = []
@@ -390,7 +341,6 @@ def run_sweep(
     faults: Optional[FaultPolicy] = None,
     rng: Optional[str] = None,
     shards: Optional[int] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> SweepResult:
     """Run every (value, policy) cell and aggregate across seeds.
@@ -408,10 +358,10 @@ def run_sweep(
     ``shards`` splits a fused sweep across worker processes — see
     :func:`~repro.experiments.grid.run_sweep_fused` for both.
     ``topology`` — a :class:`~repro.topology.graph.CellTopology` or a
-    builder called with each value's spec — runs capable policy families
-    (``supports_topology``) through the multi-cell engine; families
-    without the capability degrade to their single-domain path with one
-    ``UserWarning`` per sweep, and their cells are cached under the same
+    builder called with each value's spec — runs policy families with a
+    batch kernel through the multi-cell engine; families without one
+    degrade to their single-domain path with one ``UserWarning`` per
+    sweep, and their cells are cached under the same
     key as a topology-free sweep (they compute the identical point).
 
     cache:
@@ -455,7 +405,6 @@ def run_sweep(
             seeds,
             groups,
             backend=backend,
-            dp_state=dp_state,
             cache=cache,
             faults=faults,
             rng=rng,
@@ -484,7 +433,7 @@ def run_sweep(
         degraded_topo = [
             label
             for label, factory in policies.items()
-            if not _policy_supports_topology(factory())
+            if not registry.has_kernel(factory())
         ]
         if degraded_topo:
             _warn_topology_degrade(degraded_topo, stacklevel=2)
@@ -519,7 +468,7 @@ def run_sweep(
                 if faults is None:
                     point = run_single(
                         spec, factory, num_intervals, seeds, groups, engine,
-                        backend, rng, dp_state, topology=cell_topo,
+                        backend, rng, topology=cell_topo,
                     )
                 else:
 
@@ -529,8 +478,7 @@ def run_sweep(
                         fire_fault_hooks(float(value), label, attempt)
                         return run_single(
                             spec, factory, num_intervals, seeds, groups,
-                            engine, backend, rng, dp_state,
-                            topology=cell_topo,
+                            engine, backend, rng, topology=cell_topo,
                         )
 
                     point = call_with_retries(

@@ -88,9 +88,7 @@ __all__ = [
     "make_batch_kernel",
     "has_batch_kernel",
     "resolve_backend",
-    "resolve_dp_state",
     "KERNEL_BACKENDS",
-    "DP_STATE_MODES",
     "DRAW_CHUNK",
 ]
 
@@ -125,19 +123,16 @@ KERNEL_BACKENDS = ("numpy", "jit")
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize a backend request to one of :data:`KERNEL_BACKENDS`.
 
-    ``None`` defers to the environment: ``REPRO_KERNEL_BACKEND`` if set,
-    else ``"jit"`` when ``REPRO_JIT=1``; with neither set the default is
-    ``"jit"`` whenever numba imported compiled (so the fast path is the
-    default on capable hosts) and ``"numpy"`` otherwise.  An *explicit*
-    ``"jit"`` request degrades to ``"numpy"`` with a
+    ``None`` defers to ``REPRO_KERNEL_BACKEND`` if set; otherwise the
+    default is ``"jit"`` whenever numba imported compiled (so the fast
+    path is the default on capable hosts) and ``"numpy"`` otherwise.
+    An *explicit* ``"jit"`` request degrades to ``"numpy"`` with a
     :class:`RuntimeWarning` when numba is unavailable (and not forced
     into pure-Python test mode); the silent default never picks a jit
     that would have to degrade.
     """
     if backend is None:
-        backend = os.environ.get("REPRO_KERNEL_BACKEND", "") or (
-            "jit" if os.environ.get("REPRO_JIT", "") == "1" else ""
-        )
+        backend = os.environ.get("REPRO_KERNEL_BACKEND", "")
         if not backend:
             backend = (
                 "jit"
@@ -159,69 +154,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
         )
         backend = "numpy"
     return backend
-
-
-#: Priority-state maintenance modes of the DP-family kernels.
-#:
-#: * ``"dense"`` — every interval rebuilds the inverse permutation, the
-#:   service order and the full per-position timeline from ``sigma``:
-#:   O(S*N) per interval (plus the solver's O(S*N^2) prefix matmuls on
-#:   the workspace path).  The historical behaviour, kept as the
-#:   reference.
-#: * ``"incremental"`` — the inverse permutation persists in the
-#:   workspace across intervals and only the accepted adjacent swaps are
-#:   applied (O(S*num_pairs) state upkeep); the timeline solve runs on
-#:   the at-most ``max_transmissions + 1`` backlogged links that can
-#:   possibly transmit instead of all N, so per-interval cost tracks the
-#:   protocol's O(1) moves rather than the network size.
-#:
-#: Both modes are bit-identical (same RNG consumption, same exact-integer
-#: arithmetic — proven in ``tests/sim/test_incremental_dp.py``); the knob
-#: exists for baseline benchmarking and as an escape hatch.
-DP_STATE_MODES = ("dense", "incremental")
-
-
-def resolve_dp_state(
-    dp_state: Optional[str] = None,
-    *,
-    supports_incremental: bool = False,
-) -> str:
-    """Normalize a DP priority-state request to one of :data:`DP_STATE_MODES`.
-
-    ``None`` defers to the environment (``REPRO_DP_STATE``) and then to
-    the registry-capability default: ``"incremental"`` whenever the
-    policy family declares ``supports_incremental_dp``, else ``"dense"``.
-    An *explicit* ``"incremental"`` request is strict — it raises
-    :class:`ValueError` when the family cannot honor it — while an
-    environment-sourced request degrades silently to ``"dense"`` (the
-    variable is a global preference and must not break kernels that never
-    had an incremental path).
-
-    DP kernels refine the capability default once the network is known:
-    a dense serve set (``n <= max_transmissions + 1``) has no sparsity
-    to exploit, so the silent default drops back to ``"dense"`` there
-    (explicit and environment requests are honored as asked); see
-    :attr:`BatchPolicyKernel.dp_state`.
-    """
-    explicit = dp_state is not None
-    if not explicit:
-        dp_state = os.environ.get("REPRO_DP_STATE", "") or None
-        if dp_state is None:
-            return "incremental" if supports_incremental else "dense"
-    dp_state = str(dp_state).lower()
-    if dp_state not in DP_STATE_MODES:
-        raise ValueError(
-            f"unknown dp_state {dp_state!r}; choose from {DP_STATE_MODES}"
-        )
-    if dp_state == "incremental" and not supports_incremental:
-        if explicit:
-            raise ValueError(
-                "dp_state='incremental' requires a policy family with "
-                "the supports_incremental_dp capability (see "
-                "repro.core.registry.PolicyCapabilities)"
-            )
-        return "dense"
-    return dp_state
 
 
 @dataclass
@@ -581,6 +513,7 @@ class BatchPolicyKernel:
         self._stack: Optional[SpecStack] = None
         self._row_policies: Optional[List[IntervalMac]] = None
         self._clones: List[IntervalMac] = []
+        self._dp_state = "dense"
 
     @property
     def spec(self) -> NetworkSpec:
@@ -601,16 +534,14 @@ class BatchPolicyKernel:
 
     @property
     def dp_state(self) -> str:
-        """The bound priority-state mode (:data:`DP_STATE_MODES`).
+        """The priority-state path the bind resolved: ``"dense"`` or
+        ``"incremental"``.
 
-        Meaningful for DP-family kernels only; other families always
-        report ``"dense"``.  May differ from the bind request when the
-        kernel had to degrade (multi-pair stacks, degenerate networks)
-        or when the capability default declined the incremental path
-        because the serve set is not sparse (``n <= max_transmissions
-        + 1`` — no win available; explicit requests are honored).
+        A read-only report: DP-family kernels pick the path themselves
+        (see :meth:`BatchDPKernel._on_bind`); other families always
+        report ``"dense"``.
         """
-        return getattr(self, "_dp_state", "dense")
+        return self._dp_state
 
     def bind(
         self,
@@ -621,7 +552,6 @@ class BatchPolicyKernel:
         rng: Optional[str] = None,
         backend: Optional[str] = None,
         lite: bool = False,
-        dp_state: Optional[str] = None,
     ) -> None:
         """Attach to a network and reset all per-replication state.
 
@@ -649,13 +579,6 @@ class BatchPolicyKernel:
         (``BatchIntervalOutcome`` carries ``None`` instead); only valid
         for stats-only consumers that never read them, and ignored in
         sync mode.
-
-        ``dp_state`` picks the DP-family priority-state maintenance mode
-        (:data:`DP_STATE_MODES`; ``None`` resolves from the environment
-        and the family's registry capability).  Bit-identical either way;
-        families without the capability ignore it (an explicit
-        ``"incremental"`` request on such a family raises).  Sync mode
-        always drives the scalar clones, so the knob is moot there.
         """
         if isinstance(spec, SpecStack):
             stack: Optional[SpecStack] = spec
@@ -726,15 +649,6 @@ class BatchPolicyKernel:
                 )
         self._use_ws = not sync
         self._use_jit = self._backend == "jit" and not sync
-        descriptor = registry.descriptor_for(self.policy)
-        self._dp_state_req = dp_state
-        self._dp_state = resolve_dp_state(
-            dp_state,
-            supports_incremental=(
-                descriptor is not None
-                and descriptor.capabilities.supports_incremental_dp
-            ),
-        )
         self._lite = bool(lite) and not sync
         self._depth = DRAW_CHUNK
         if sync or not chan0.has_state:
@@ -1189,6 +1103,11 @@ class BatchDPKernel(BatchPolicyKernel):
     #: test-suite uses this to prove the closed-form timeline correct.
     _force_sequential = False
 
+    #: Test hook: bind the dense reference path even where the kernel
+    #: would pick the incremental one, so tests and benchmarks can
+    #: compare the two bit for bit on the same draws.
+    _force_dense = False
+
     def __init__(self, policy: DPProtocol):
         super().__init__(policy)
         self.bias = policy.bias
@@ -1271,58 +1190,23 @@ class BatchDPKernel(BatchPolicyKernel):
                 self._empty_air,
             )
         )
-        # The incremental sparse path covers the paper's protocol — one
-        # candidate pair on a real network, workspace path.  Remark-6
-        # multi-pair stacks and degenerate (n < 2) networks keep the
-        # dense recompute; an explicit request for them degrades loudly.
-        #
-        # The capability *default* additionally requires a sparse serve
-        # set: when every link fits in the interval's transmission
-        # budget (n <= max_transmissions + 1, e.g. the paper's N=20
-        # video grid with budget 60) the timeline must visit all n
-        # positions either way and the incremental path's serve-set
-        # selection is pure overhead (BENCH_LARGE_N.json records
-        # ~0.8x at N=20) — so the silent default only picks the
-        # incremental path where it wins.  Explicit and
-        # environment-sourced requests are honored as asked (the path
-        # is bit-identical regardless).
-        if (
-            self._dp_state == "incremental"
-            and self._dp_state_req is None
-            and not os.environ.get("REPRO_DP_STATE", "")
-            and n <= self._budget + 1
-        ):
-            self._dp_state = "dense"
-        if self._dp_state == "incremental" and self._channel_draws.dynamic:
-            # The incremental path consumes lazy raw draws scaled by a
-            # static (S, N) plane; a channel-state process makes that
-            # plane per-interval, so dynamic channels keep the dense
-            # recompute (the draws cannot be deferred).
-            if self._dp_state_req == "incremental":
-                warnings.warn(
-                    "dp_state='incremental' requires a static channel "
-                    f"plane; {type(self.spec.channel).__name__} evolves "
-                    "per interval, so this bind falls back to the dense "
-                    "recompute",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._dp_state = "dense"
+        # The priority-state path is the kernel's own choice.  The
+        # incremental sparse path covers the paper's protocol — one
+        # candidate pair, workspace path, static channel plane (its lazy
+        # raw draws are scaled by a fixed (S, N) plane, which a
+        # channel-state process would make per-interval) — and only pays
+        # off on a sparse serve set: with n <= max_transmissions + 1
+        # every link fits in the interval's transmission budget, the
+        # timeline visits all n positions either way and serve-set
+        # selection is pure overhead.  Both paths are bit-identical.
         self._use_inc = (
-            self._dp_state == "incremental"
-            and self._use_ws
+            self._use_ws
             and P == 1
+            and not self._channel_draws.dynamic
+            and n > self._budget + 1
+            and not self._force_dense
         )
-        if self._dp_state == "incremental" and not self._use_inc:
-            if self._dp_state_req == "incremental" and self._use_ws:
-                warnings.warn(
-                    "dp_state='incremental' covers single-pair DP stacks "
-                    f"only (num_pairs={self.num_pairs}, n={n}); this bind "
-                    "falls back to the dense recompute (bit-identical)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._dp_state = "dense"
+        self._dp_state = "incremental" if self._use_inc else "dense"
         if self._use_ws:
             if self._use_inc:
                 self._alloc_dp_ws_inc()
@@ -1425,32 +1309,30 @@ class BatchDPKernel(BatchPolicyKernel):
         Deliberately *not* built on :meth:`_alloc_common_ws`: the dense
         solver's (n, n) prefix-sum mask and (S, n, A) compare cube are
         exactly the quadratic footprint this path exists to avoid.  The
-        block scratch here is ``(S, K)`` with ``K = min(n,
-        max_transmissions + 1)`` — the largest number of links that can
-        possibly receive attempts in one interval plus the marginal
-        starved one — so memory and per-interval math scale with the
-        attempt budget, not the network size.
+        block scratch here is ``(S, K)`` with ``K = max_transmissions +
+        1`` — the largest number of links that can possibly receive
+        attempts in one interval plus the marginal starved one, fewer
+        than ``n`` whenever :meth:`_on_bind` picks this path — so memory
+        and per-interval math scale with the attempt budget, not the
+        network size.
         """
         S, n = self.num_seeds, self.spec.num_links
         A = self._a_max
         workf = self._channel_draws.dtype
         tlf = workf if self._exact_div else np.float64
-        K = min(n, self._budget + 1)
+        K = self._budget + 1
         self._inc_k = K
-        self._inc_small = K >= n
         w = SimpleNamespace()
         w.workf = workf
         w.row_off = (np.arange(S, dtype=np.int64) * n)[:, None]
-        w.row_off_m1 = w.row_off - 1
-        w.link_plane = np.tile(np.arange(n, dtype=np.int64), (S, 1))
-        w.tmpi = np.empty((S, n), dtype=np.int64)
         # The persistent sparse priority state: the inverse permutation
         # (priority position -> link), built once here by scatter and
         # afterwards maintained only by the O(commits) writes of the swap
         # commit — never rebuilt from sigma again.
         w.inv = np.empty((S, n), dtype=np.int64)
-        np.add(self._sigma, w.row_off_m1, out=w.tmpi)
-        w.inv.ravel()[w.tmpi.ravel()] = w.link_plane.ravel()
+        w.inv.ravel()[(self._sigma + (w.row_off - 1)).ravel()] = np.tile(
+            np.arange(n, dtype=np.int64), S
+        )
         # Persistent outcome planes.  Only entries named by the previous
         # interval's serve set (``prev_links``) can be nonzero, so each
         # interval zeroes those K entries instead of the whole plane.
@@ -1458,19 +1340,14 @@ class BatchDPKernel(BatchPolicyKernel):
         w.attempts_i = np.zeros((S, n), dtype=np.int64)
         w.prev_links = np.zeros((S, K), dtype=np.int64)
         w.pfscr = np.empty((S, K), dtype=np.int64)
-        # Serve-set selection scratch.  Small networks (K >= n) keep the
-        # dense path's "copy inv + O(S) candidate fix-ups" order build;
-        # large ones select the K lowest backlogged positions.
-        if self._inc_small:
-            w.order = np.empty((S, n), dtype=np.int64)
-        else:
-            w.posm = np.empty((S, n), dtype=np.int64)
-            w.maskn = np.empty((S, n), dtype=bool)
-            w.pflat = np.empty((S, K), dtype=np.int64)
-            w.posk_un = np.empty((S, K), dtype=np.int64)
-            w.posk = np.empty((S, K), dtype=np.int64)
-            w.oflatk = np.empty((S, K), dtype=np.int64)
-            w.row_off_k = (np.arange(S, dtype=np.int64) * K)[:, None]
+        # Serve-set selection scratch: the K lowest backlogged positions.
+        w.posm = np.empty((S, n), dtype=np.int64)
+        w.maskn = np.empty((S, n), dtype=bool)
+        w.pflat = np.empty((S, K), dtype=np.int64)
+        w.posk_un = np.empty((S, K), dtype=np.int64)
+        w.posk = np.empty((S, K), dtype=np.int64)
+        w.oflatk = np.empty((S, K), dtype=np.int64)
+        w.row_off_k = (np.arange(S, dtype=np.int64) * K)[:, None]
         w.sel_flat = np.empty((S, K), dtype=np.int64)
         # (S, K) block scratch for the closed-form timeline.
         w.blk = np.empty((S, K), dtype=np.int64)
@@ -1587,7 +1464,7 @@ class BatchDPKernel(BatchPolicyKernel):
         * the inverse permutation persists in the workspace; the commit
           applies the accepted adjacent swap with O(commits) element
           writes instead of re-deriving the order from sigma (O(S*N));
-        * only the serve set — the first ``K = min(n, budget + 1)``
+        * only the serve set — the first ``K = budget + 1``
           backlogged links in priority order, which provably covers every
           link that can receive an attempt — enters the timeline solve,
           so the block math is ``(S, K)`` instead of the dense solver's
@@ -1678,34 +1555,25 @@ class BatchDPKernel(BatchPolicyKernel):
             w.delivered.ravel()[w.pfscr.ravel()] = 0
             if not lite:
                 w.attempts_i.ravel()[w.pfscr.ravel()] = 0
-            if self._inc_small:
-                order = w.order
-                np.copyto(order, w.inv)
-                if rc.size:
-                    order[rc, cdm1] = w.up[rc, 0]
-                    order[rc, cdx] = w.down[rc, 0]
-                np.add(order, w.row_off, out=w.sel_flat)
-                posk = w.link_plane
-            else:
-                np.subtract(sigma, 1, out=w.posm)
-                if rc.size:
-                    w.posm[rc, w.down[rc, 0]] = cdx
-                    w.posm[rc, w.up[rc, 0]] = cdm1
-                np.equal(arrivals, 0, out=w.maskn)
-                np.copyto(w.posm, n, where=w.maskn)
-                # The K smallest positions (argpartition), then sorted into
-                # service order; np.argpartition/argsort have no out=
-                # variant, so these are the path's two accepted per-interval
-                # allocations (reported via the stage's alloc count).
-                part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
-                np.add(part, w.row_off, out=w.pflat)
-                w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
-                ordk = np.argsort(w.posk_un, axis=1)
-                np.add(ordk, w.row_off_k, out=w.oflatk)
-                w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
-                w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
-                posk = w.posk
-                inc_allocs = 2
+            np.subtract(sigma, 1, out=w.posm)
+            if rc.size:
+                w.posm[rc, w.down[rc, 0]] = cdx
+                w.posm[rc, w.up[rc, 0]] = cdm1
+            np.equal(arrivals, 0, out=w.maskn)
+            np.copyto(w.posm, n, where=w.maskn)
+            # The K smallest positions (argpartition), then sorted into
+            # service order; np.argpartition/argsort have no out=
+            # variant, so these are the path's two accepted per-interval
+            # allocations (reported via the stage's alloc count).
+            part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
+            np.add(part, w.row_off, out=w.pflat)
+            w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
+            ordk = np.argsort(w.posk_un, axis=1)
+            np.add(ordk, w.row_off_k, out=w.oflatk)
+            w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
+            w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
+            posk = w.posk
+            inc_allocs = 2
             np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
         if counters.enabled:
             counters.add("kernel.dp.incremental", perf.clock() - t0, inc_allocs)

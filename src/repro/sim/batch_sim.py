@@ -87,29 +87,23 @@ def supports_batch_engine(
 ) -> bool:
     """Whether ``(spec, policy)`` can run on the batch engine.
 
-    Requires a policy family registered as ``batchable`` (consulting the
-    policy registry's capability flags rather than a type switch), a
+    Requires a policy family with a registered batch kernel
+    (:func:`repro.core.registry.has_kernel` rather than a type switch), a
     channel the kernels can pre-draw (i.i.d.-within-interval attempts;
-    stateful channels additionally need vectorized batch state and the
-    family's ``supports_markov_channel`` capability), and (under
-    ``rng="free"``) an arrival process that is either batch-samplable or
-    supplies vectorized batch state.  Callers that want graceful
-    degradation (the experiment runner) check this and fall back to the
-    scalar engine.
+    stateful channels additionally need vectorized batch state), and
+    (under ``rng="free"``) an arrival process that is either
+    batch-samplable or supplies vectorized batch state.  Callers that
+    want graceful degradation (the experiment runner) check this and fall
+    back to the scalar engine.
     """
-    descriptor = registry.descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.batchable:
+    if not registry.has_kernel(policy):
         return False
     mode = normalize_rng_mode(rng, sync_rng)
-    if mode == "sync":
-        return descriptor.capabilities.supports_sync_rng and (
-            spec.channel.has_state or spec.channel.iid_within_interval
-        )
     channel = spec.channel
+    if mode == "sync":
+        return channel.has_state or channel.iid_within_interval
     if channel.has_state:
         if not channel.supports_batch_state:
-            return False
-        if not descriptor.capabilities.supports_markov_channel:
             return False
     elif not channel.iid_within_interval:
         return False
@@ -686,20 +680,15 @@ class BatchIntervalSimulator:
         Kernel backend (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`):
         ``"numpy"`` (preallocated workspace, default) or ``"jit"`` (Numba
         inner loops, falls back to ``"numpy"`` without numba).  Both are
-        bit-identical; ``None`` resolves from ``REPRO_KERNEL_BACKEND`` /
-        ``REPRO_JIT``.
+        bit-identical; ``None`` resolves from ``REPRO_KERNEL_BACKEND``.
     rng:
         Draw discipline (:data:`~repro.sim.rng.RNG_MODES`): ``"free"``
         (the default when ``None`` and ``sync_rng`` is false) or
         ``"sync"``.
-    dp_state:
-        Priority-state maintenance mode for DP-family kernels
-        (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``
-        re-derives the service order from sigma every interval,
-        ``"incremental"`` maintains it sparsely across intervals
-        (bit-identical, O(swaps) updates, serve-set timeline solve).
-        ``None`` resolves from ``REPRO_DP_STATE`` or the policy family's
-        capabilities; non-DP kernels accept only ``None``/``"dense"``.
+
+    :attr:`dp_state` reports the priority-state path the kernel picked
+    (``"dense"`` or ``"incremental"``; see
+    :meth:`~repro.sim.batch_kernels.BatchDPKernel._on_bind`).
     """
 
     def __init__(
@@ -716,7 +705,6 @@ class BatchIntervalSimulator:
         stream_tag: Optional[str] = None,
         backend: Optional[str] = None,
         rng: Optional[str] = None,
-        dp_state: Optional[str] = None,
     ):
         if isinstance(spec, SpecStack):
             stack: Optional[SpecStack] = spec
@@ -774,7 +762,6 @@ class BatchIntervalSimulator:
             # Trace recording reads per-link attempts and priorities;
             # stats-only runs let the kernel skip materializing them.
             lite=not self.record_traces,
-            dp_state=dp_state,
         )
         self.backend = self.kernel._backend
         self.dp_state = self.kernel.dp_state
@@ -952,7 +939,6 @@ def run_simulation_batch(
     record_priorities: bool = False,
     backend: Optional[str] = None,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> BatchSimulationResult:
     """One-shot convenience wrapper around :class:`BatchIntervalSimulator`.
@@ -961,9 +947,9 @@ def run_simulation_batch(
     the multi-cell lowering instead and returns its aggregated
     :class:`~repro.topology.engine.TopologyResult` (per-interval traces
     are a single-domain feature; the topology engine reports per-link
-    sums).  Like ``dp_state``, the direct call is strict: a policy
-    family without ``supports_topology`` raises ``TypeError`` (the
-    experiment runner degrades gracefully instead).
+    sums).  The direct call is strict: a policy family without a batch
+    kernel raises ``TypeError`` (the experiment runner degrades
+    gracefully instead).
     """
     if topology is not None:
         if record_priorities:
@@ -982,7 +968,6 @@ def run_simulation_batch(
             sync_rng=sync_rng,
             rng=rng,
             backend=backend,
-            dp_state=dp_state,
             validate=validate,
         )
     sim = BatchIntervalSimulator(
@@ -994,6 +979,5 @@ def run_simulation_batch(
         record_priorities=record_priorities,
         backend=backend,
         rng=rng,
-        dp_state=dp_state,
     )
     return sim.run(num_intervals)

@@ -54,30 +54,11 @@ except ImportError:  # pragma: no cover
     HAS_NUMBA = False
 
 
-def _parallel_min_rows() -> int:
-    """Batch-row threshold above which the ``prange`` variants are used.
-
-    ``REPRO_JIT_PARALLEL=0`` disables the parallel variants entirely;
-    any other integer overrides the default threshold.  Rows are fully
-    independent (each writes a disjoint slice), so serial and parallel
-    variants are bit-identical — the threshold only avoids paying thread
-    fork/join overhead on small stacks.
-    """
-    raw = os.environ.get("REPRO_JIT_PARALLEL", "")
-    if not raw:
-        return 128
-    try:
-        thresh = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_JIT_PARALLEL must be an integer, got {raw!r}"
-        ) from exc
-    if thresh == 0:
-        return 1 << 62  # effectively never
-    return max(1, thresh)
-
-
-_PARALLEL_MIN_ROWS = _parallel_min_rows()
+#: Batch-row threshold above which the ``prange`` variants are used.
+#: Rows are fully independent (each writes a disjoint slice), so serial
+#: and parallel variants are bit-identical — the threshold only avoids
+#: paying thread fork/join overhead on small stacks.
+_PARALLEL_MIN_ROWS = 128
 
 #: Route ``backend="jit"`` through the pure-Python loop bodies even when
 #: numba is missing (or present).  Test hook; also settable via the
@@ -223,7 +204,7 @@ def _dp_incremental_rows_py(
 ):
     """The DP interval timeline on the *incremental* sparse state.
 
-    The single-pair (``dp_state="incremental"``) analogue of
+    The single-pair incremental-path analogue of
     :func:`_dp_timeline_rows_py`: instead of a materialized service
     order/backoff/empty triple, each row walks the persistent inverse
     permutation ``inv`` directly, deriving the position's link and backoff

@@ -53,7 +53,7 @@ __all__ = [
 #: timeline / ordered-service solve), ``kernel.dp.commit`` (swap commit
 #: and outcome scatters) on both priority-state paths, and additionally
 #: ``kernel.dp.incremental`` — the sparse-state maintenance work unique
-#: to ``dp_state="incremental"`` (persistent-inverse upkeep, backlogged
+#: to the incremental path (persistent-inverse upkeep, backlogged
 #: serve-set selection, touched-entry zeroing).  Comparing the dense and
 #: incremental paths therefore means comparing the *sum* of their
 #: ``kernel.dp.*`` stages, not label by label.

@@ -134,11 +134,9 @@ def compile_error() -> Optional[str]:
 
 # ----------------------------------------------------------------------
 def _policy_params(policy: IntervalMac) -> Tuple[float, float]:
-    descriptor = registry.descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.supports_topology:
+    if not registry.has_kernel(policy):
         raise TypeError(
-            f"{type(policy).__name__}'s family does not declare "
-            "supports_topology"
+            f"{type(policy).__name__}'s family has no batch kernel"
         )
     num_pairs = getattr(policy, "num_pairs", None)
     bias = getattr(policy, "bias", None)

@@ -236,17 +236,15 @@ class TopologySimulator:
         rng: Optional[str] = None,
         sync_rng: bool = False,
         backend: Optional[str] = None,
-        dp_state: Optional[str] = None,
         validate: bool = True,
         record_traces: bool = False,
         cells_subset: Optional[Sequence[int]] = None,
     ):
-        descriptor = registry.descriptor_for(policy)
-        if descriptor is None or not descriptor.capabilities.supports_topology:
+        if not registry.has_kernel(policy):
             raise TypeError(
-                f"{type(policy).__name__}'s family does not declare "
-                "supports_topology; run it single-domain instead (the "
-                "experiment runner degrades automatically)"
+                f"{type(policy).__name__}'s family has no batch kernel; "
+                "run it single-domain instead (the experiment runner "
+                "degrades automatically)"
             )
         self.rng_mode = normalize_rng_mode(rng, sync_rng)
         self.packing = CellPacking(spec, topology)
@@ -273,7 +271,6 @@ class TopologySimulator:
             row_seeds,
             rng=self.rng_mode,
             backend=backend,
-            dp_state=dp_state,
             validate=validate,
             record_traces=record_traces,
             stream_tag=TOPOLOGY_STREAM_TAG,
@@ -444,7 +441,6 @@ def run_topology_batch(
     rng: Optional[str] = None,
     sync_rng: bool = False,
     backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
     max_workers: Optional[int] = None,
@@ -462,7 +458,6 @@ def run_topology_batch(
         rng=rng,
         sync_rng=sync_rng,
         backend=backend,
-        dp_state=dp_state,
         validate=validate,
     )
     if not shards or shards <= 1:

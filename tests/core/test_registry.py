@@ -1,8 +1,9 @@
 """Tests for the policy registry (repro.core.registry).
 
 The registry is the single dispatch authority: every engine, the sweep
-cache, and the CLI consult :class:`PolicyDescriptor` capability flags and
-config round-trips instead of type-switching on policy classes.
+cache, and the CLI consult :class:`PolicyDescriptor` kernels
+(:func:`registry.has_kernel`) and config round-trips instead of
+type-switching on policy classes.
 """
 
 import pickle
@@ -18,7 +19,7 @@ from repro.core.estimation import EstimatedDBDPPolicy
 from repro.core.fcsma import FCSMAPolicy
 from repro.core.frame_csma import FrameCSMAPolicy
 from repro.core.policies import IntervalMac
-from repro.core.registry import PolicyCapabilities, PolicyDescriptor
+from repro.core.registry import PolicyDescriptor
 from repro.core.round_robin import RoundRobinPolicy
 from repro.core.static_priority import StaticPriorityPolicy
 
@@ -108,33 +109,6 @@ def test_unregister_removes_name_and_class():
 # ----------------------------------------------------------------------
 # Descriptor validation
 # ----------------------------------------------------------------------
-def test_fusable_requires_batchable():
-    with pytest.raises(ValueError, match="batchable"):
-        PolicyCapabilities(batchable=False, fusable=True)
-
-
-def test_batchable_requires_kernel():
-    with pytest.raises(ValueError, match="batch_kernel"):
-        PolicyDescriptor(
-            name="Broken",
-            policy_class=_ToyPolicy,
-            to_config=lambda p: {},
-            from_config=lambda c: _ToyPolicy(),
-            capabilities=PolicyCapabilities(batchable=True, fusable=False),
-        )
-
-
-def test_kernel_requires_batchable_flag():
-    with pytest.raises(ValueError, match="batchable=False"):
-        PolicyDescriptor(
-            name="Broken",
-            policy_class=_ToyPolicy,
-            to_config=lambda p: {},
-            from_config=lambda c: _ToyPolicy(),
-            batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        )
-
-
 def test_factory_defaults_to_policy_class():
     descriptor = _toy_descriptor()
     assert descriptor.factory is _ToyPolicy
@@ -229,13 +203,11 @@ def test_create_with_config():
 
 
 # ----------------------------------------------------------------------
-# Capabilities and kernels
+# Kernels
 # ----------------------------------------------------------------------
 def test_scalar_only_families_declare_no_kernel():
     for name in ("DCF", "FCSMA", "FrameCSMA"):
         descriptor = registry.get(name)
-        assert not descriptor.capabilities.batchable
-        assert not descriptor.capabilities.fusable
         assert descriptor.batch_kernel is None
         assert not registry.has_kernel(EXEMPLARS[name]())
 
@@ -243,7 +215,7 @@ def test_scalar_only_families_declare_no_kernel():
 def test_batchable_families_expose_kernels():
     for name in ("DB-DP", "DP", "ELDF", "LDF", "RoundRobin", "StaticPriority"):
         descriptor = registry.get(name)
-        assert descriptor.capabilities.batchable
+        assert descriptor.batch_kernel is not None
         assert registry.has_kernel(EXEMPLARS[name]())
 
 

@@ -150,10 +150,10 @@ class TestValidationArgs:
 class TestScalarOnlyDeclaredFallback:
     """Scalar-only families run through the fused engine by declaration.
 
-    DCF, FCSMA, and Frame-CSMA carry ``fusable=False`` capabilities in
-    their registry descriptors; ``run_sweep(engine="fused")`` must route
-    each of their cells through the declared per-cell fallback and
-    reproduce the per-cell runner exactly.
+    DCF, FCSMA, and Frame-CSMA register no batch kernel in their
+    registry descriptors; ``run_sweep(engine="fused")`` must route each
+    of their cells through the declared per-cell fallback and reproduce
+    the per-cell runner exactly.
     """
 
     @pytest.mark.parametrize("name", ["DCF", "FCSMA", "FrameCSMA"])
@@ -174,7 +174,7 @@ class TestScalarOnlyDeclaredFallback:
             sync_rng=True,
         )
         assert by_name.points == by_factory.points
-        assert not registry.get("DCF").capabilities.fusable
+        assert not registry.has_kernel(registry.create("DCF"))
 
 
 class TestUncacheableWarning:

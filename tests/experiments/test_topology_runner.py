@@ -50,7 +50,8 @@ class TestRunnerPlumbing:
             warnings.simplefilter("always")
             result = _sweep("batch")
         topo_warnings = [
-            w for w in caught if "supports_topology" in str(w.message)
+            w for w in caught
+            if "families with no batch kernel" in str(w.message)
         ]
         assert len(topo_warnings) == 1
         assert "FCSMA" in str(topo_warnings[0].message)
@@ -142,7 +143,7 @@ class TestBatchEntryPoint:
         from repro.core import registry
 
         factory = registry.resolve_policies(["FCSMA"])["FCSMA"]
-        with pytest.raises(TypeError, match="supports_topology"):
+        with pytest.raises(TypeError, match="family has no batch kernel"):
             run_simulation_batch(
                 _spec(0.5), factory(), INTERVALS, SEEDS,
                 topology=grid_cells(12, 3),

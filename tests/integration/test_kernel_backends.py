@@ -112,7 +112,6 @@ class TestBackendResolution:
 
     def test_default_prefers_jit_when_compiled_else_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_JIT", raising=False)
         monkeypatch.setattr(jit_kernels, "force_python", False)
         expected = "jit" if jit_kernels.HAS_NUMBA else "numpy"
         with warnings.catch_warnings():
@@ -121,18 +120,8 @@ class TestBackendResolution:
 
     def test_default_ignores_jit_when_forced_python(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_JIT", raising=False)
         monkeypatch.setattr(jit_kernels, "force_python", True)
         assert resolve_backend(None) == "numpy"
-
-    def test_repro_jit_env_requests_jit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_JIT", "1")
-        if jit_kernels.available():
-            assert resolve_backend(None) == "jit"
-        else:
-            with pytest.warns(RuntimeWarning, match="numba is not installed"):
-                assert resolve_backend(None) == "numpy"
 
     @pytest.mark.skipif(
         jit_kernels.HAS_NUMBA, reason="needs a numba-free environment"

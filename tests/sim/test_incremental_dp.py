@@ -1,63 +1,78 @@
-"""Bit-identity and knob tests for ``dp_state="incremental"``.
+"""Bit-identity and selection tests for the DP kernel's priority-state paths.
 
 The incremental sparse priority-state engine keeps the DP kernel's
-inverse permutation and serve-order tables alive in the workspace across
-intervals, applies accepted adjacent swaps in O(commits), and solves the
-interval timeline on the at-most ``max_transmissions + 1`` backlogged
-serve-set links instead of all N.  The contract is *bit-identity* with
-the dense recompute under the same RNG bundle: every derived quantity is
-a small exact integer carried in float, so the two state-maintenance
-strategies must agree on every interval of every replication — asserted
-here per interval, across backends, across draw disciplines, and at the
-large N the engine exists for.
+inverse permutation alive in the workspace across intervals, applies
+accepted adjacent swaps in O(commits), and solves the interval timeline
+on the at-most ``max_transmissions + 1`` backlogged serve-set links
+instead of all N.  The contract is *bit-identity* with the dense
+recompute under the same RNG bundle: every derived quantity is a small
+exact integer carried in float, so the two state-maintenance strategies
+must agree on every interval of every replication — asserted here per
+interval, across backends, across draw disciplines, and at the large N
+the engine exists for.
 
-The knob itself resolves like ``backend``: ``None`` defers to the
-``REPRO_DP_STATE`` environment variable and then to the policy family's
-``supports_incremental_dp`` registry capability; explicit requests are
-strict, environment requests degrade silently (see
-:func:`repro.sim.batch_kernels.resolve_dp_state`).
+The kernel picks the path itself at bind
+(:meth:`repro.sim.batch_kernels.BatchDPKernel._on_bind`): incremental
+iff the workspace path is bound, ``num_pairs == 1``, the channel is
+static and ``n > max_transmissions + 1``.  Every comparison below runs
+on a size the selector sends to the sparse path and checks it against
+the dense reference forced through the kernel's private
+``_force_dense`` hook.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy, ELDFPolicy
+from repro import DBDPPolicy
 from repro.core.permutations import (
     apply_adjacent_swap,
     apply_swap_to_order,
     link_order_to_priorities,
     priority_to_link_order,
 )
-from repro.experiments.configs import video_symmetric_spec
+from repro.experiments.configs import low_latency_spec, video_symmetric_spec
+from repro.phy.channel import channel_from_spec
 from repro.sim import jit_kernels
-from repro.sim.batch_kernels import DP_STATE_MODES, resolve_dp_state
+from repro.sim.batch_kernels import BatchDPKernel
 from repro.sim.batch_sim import BatchIntervalSimulator
 
 
+def _video(n, alpha=0.55):
+    return video_symmetric_spec(alpha, num_links=n)
+
+
+def _low_latency(n, alpha=0.55):
+    # Budget 16: N=20 is a cheap sparse case.
+    return low_latency_spec(alpha, num_links=n)
+
+
 def _run(
-    n,
-    dp_state,
+    spec,
     num_intervals,
     *,
-    alpha=0.55,
+    dense=False,
     backend="numpy",
     rng=None,
     seeds=(0, 1, 2),
     force_sequential=False,
+    policy=None,
 ):
-    sim = BatchIntervalSimulator(
-        video_symmetric_spec(alpha, num_links=n),
-        DBDPPolicy(),
-        seeds=seeds,
-        record_traces=True,
-        record_priorities=True,
-        validate=False,
-        backend=backend,
-        rng=rng,
-        dp_state=dp_state,
-    )
+    with mock.patch.object(BatchDPKernel, "_force_dense", dense):
+        sim = BatchIntervalSimulator(
+            spec,
+            policy if policy is not None else DBDPPolicy(),
+            seeds=seeds,
+            record_traces=True,
+            record_priorities=True,
+            validate=False,
+            backend=backend,
+            rng=rng,
+        )
     if force_sequential:
         sim.kernel._force_sequential = True
     return sim, sim.run(num_intervals)
@@ -74,37 +89,50 @@ def _assert_runs_identical(a, b, context=""):
 
 
 class TestDenseIncrementalBitIdentity:
-    """dense and incremental must agree on every interval at every N."""
+    """The selected incremental path must agree with the forced-dense
+    reference on every interval."""
 
     @pytest.mark.parametrize(
-        "n,num_intervals",
-        [(2, 300), (3, 300), (20, 200), (200, 60)],
+        "builder,n,num_intervals,seeds",
+        [
+            (_video, 62, 200, (0, 1, 2)),
+            (_video, 80, 150, (0, 1, 2)),
+            (_video, 200, 60, (0, 1, 2)),
+            (_video, 2000, 6, (0, 1)),
+            (_low_latency, 20, 300, (0, 1, 2)),
+        ],
     )
-    def test_every_interval_identical(self, n, num_intervals):
-        _, dense = _run(n, "dense", num_intervals)
-        sim, inc = _run(n, "incremental", num_intervals)
-        assert sim.dp_state == "incremental"
-        _assert_runs_identical(dense, inc, f"N={n}")
+    def test_every_interval_identical(self, builder, n, num_intervals, seeds):
+        spec = builder(n)
+        dense_sim, dense = _run(spec, num_intervals, dense=True, seeds=seeds)
+        sim, inc = _run(spec, num_intervals, seeds=seeds)
+        assert (dense_sim.dp_state, sim.dp_state) == ("dense", "incremental")
+        _assert_runs_identical(dense, inc, f"{builder.__name__} N={n}")
 
     def test_congested_stack_identical(self):
         # High alpha keeps everyone backlogged, so commits, misfitting
         # empty claims, and resolver activations all fire constantly.
-        _, dense = _run(20, "dense", 250, alpha=0.95)
-        _, inc = _run(20, "incremental", 250, alpha=0.95)
+        spec = _video(80, alpha=0.95)
+        _, dense = _run(spec, 250, dense=True)
+        _, inc = _run(spec, 250)
         _assert_runs_identical(dense, inc, "congested")
 
     def test_forced_sequential_rows_match_vectorized(self):
         # The per-row Python resolver is the vectorized block solve's
         # fallback; forcing it on every row must change nothing.
-        _, vec = _run(20, "incremental", 150)
-        _, seq = _run(20, "incremental", 150, force_sequential=True)
+        spec = _video(80)
+        _, vec = _run(spec, 150)
+        sim, seq = _run(spec, 150, force_sequential=True)
+        assert sim.dp_state == "incremental"
         _assert_runs_identical(vec, seq, "force_sequential")
 
-    def test_free_rng_discipline_identical_across_dp_state(self):
+    def test_free_rng_discipline_identical_across_paths(self):
         # The explicit free discipline (also the default) must agree
         # between dense and incremental.
-        _, dense = _run(20, "dense", 200, rng="free")
-        _, inc = _run(20, "incremental", 200, rng="free")
+        spec = _video(62)
+        _, dense = _run(spec, 200, dense=True, rng="free")
+        sim, inc = _run(spec, 200, rng="free")
+        assert sim.dp_state == "incremental"
         _assert_runs_identical(dense, inc, "rng=free")
 
 
@@ -122,8 +150,11 @@ class TestCrossBackendIdentity:
     free draws and must agree bit for bit."""
 
     def test_n200_all_backends(self, jit_runnable):
+        spec = _video(200)
         runs = {
-            (backend, mode): _run(200, mode, 40, backend=backend, rng="free")
+            (backend, mode): _run(
+                spec, 40, dense=mode == "dense", backend=backend, rng="free"
+            )
             for backend in ("numpy", "jit")
             for mode in ("dense", "incremental")
         }
@@ -136,136 +167,52 @@ class TestCrossBackendIdentity:
     @pytest.mark.parametrize("backend", ["numpy", "jit"])
     def test_n2000_dense_vs_incremental(self, backend, jit_runnable):
         # The scale the engine exists for; few intervals keep it cheap.
-        _, dense = _run(
-            2000, "dense", 6, seeds=(0, 1), backend=backend, rng="free"
-        )
-        _, inc = _run(
-            2000, "incremental", 6, seeds=(0, 1), backend=backend, rng="free"
-        )
+        spec = _video(2000)
+        kw = dict(seeds=(0, 1), backend=backend, rng="free")
+        _, dense = _run(spec, 6, dense=True, **kw)
+        sim, inc = _run(spec, 6, **kw)
+        assert sim.dp_state == "incremental"
         _assert_runs_identical(dense, inc, f"N=2000 {backend}")
 
 
-class TestDpStateResolution:
-    """The knob resolves like ``backend``: capability default, strict
-    explicit requests, soft environment requests."""
+class TestPathSelection:
+    """The kernel alone picks the path: incremental iff workspace path,
+    one swap pair, static channel and ``n > max_transmissions + 1``
+    (the video timing's budget is 60)."""
 
-    def test_modes_tuple(self):
-        assert DP_STATE_MODES == ("dense", "incremental")
-
-    def test_default_is_incremental_for_capable_family(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert (
-            resolve_dp_state(None, supports_incremental=True)
-            == "incremental"
-        )
-
-    def test_default_is_dense_when_not_capable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert resolve_dp_state(None, supports_incremental=False) == "dense"
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown dp_state"):
-            resolve_dp_state("sparse", supports_incremental=True)
-
-    def test_explicit_incremental_without_capability_raises(self):
-        with pytest.raises(ValueError, match="supports_incremental_dp"):
-            resolve_dp_state("incremental", supports_incremental=False)
-
-    def test_env_request_degrades_silently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DP_STATE", "incremental")
-        assert (
-            resolve_dp_state(None, supports_incremental=False) == "dense"
-        )
-        assert (
-            resolve_dp_state(None, supports_incremental=True)
-            == "incremental"
-        )
-
-    def test_env_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DP_STATE", "bogus")
-        with pytest.raises(ValueError, match="unknown dp_state"):
-            resolve_dp_state(None, supports_incremental=True)
-
-    def test_simulator_reports_resolved_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        # Sparse serve set (N > max_transmissions + 1 = 61 on the video
-        # timing): the capability default picks the incremental path.
-        big = video_symmetric_spec(0.6, num_links=80)
-        sim = BatchIntervalSimulator(
-            big, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
-        )
-        assert sim.dp_state == "incremental"
-        # Sync binds drive the scalar clones: no workspace, no sparse state.
-        sim = BatchIntervalSimulator(
-            big, DBDPPolicy(), seeds=(0,), validate=False, rng="sync"
-        )
-        assert sim.dp_state == "dense"
-
-    def test_default_declines_incremental_on_dense_serve_set(
-        self, monkeypatch
-    ):
-        # Paper-scale N (20 links, budget 60): every link fits in the
-        # budget, there is no sparsity to exploit, and the silent
-        # default keeps the dense path — an explicit request (or the
-        # environment) still gets the bit-identical incremental path.
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        spec = video_symmetric_spec(0.6, num_links=20)
-        auto = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
-        )
-        assert auto.dp_state == "dense"
-        explicit = BatchIntervalSimulator(
-            spec,
-            DBDPPolicy(),
-            seeds=(0,),
-            validate=False,
-            backend="numpy",
-            dp_state="incremental",
-        )
-        assert explicit.dp_state == "incremental"
-        monkeypatch.setenv("REPRO_DP_STATE", "incremental")
-        env = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
-        )
-        assert env.dp_state == "incremental"
-
-    def test_non_dp_family_rejects_explicit_incremental(self):
-        with pytest.raises(ValueError, match="supports_incremental_dp"):
-            BatchIntervalSimulator(
-                video_symmetric_spec(0.6, num_links=6),
-                ELDFPolicy(),
-                seeds=(0,),
-                validate=False,
-                backend="numpy",
-                dp_state="incremental",
+    @pytest.mark.parametrize(
+        "case,n,expected",
+        [
+            ("video", 20, "dense"),
+            ("video", 61, "dense"),
+            ("video", 62, "incremental"),
+            ("num_pairs=2", 80, "dense"),
+            ("ge-channel", 80, "dense"),
+            ("rng=sync", 80, "dense"),
+        ],
+    )
+    def test_selected_path(self, case, n, expected):
+        spec = _video(n)
+        policy = DBDPPolicy()
+        rng = None
+        if case == "num_pairs=2":
+            policy = DBDPPolicy(num_pairs=2)
+        elif case == "ge-channel":
+            spec = dataclasses.replace(
+                spec, channel=channel_from_spec("ge:0.1:0.3", n)
             )
+        elif case == "rng=sync":
+            rng = "sync"
+        sim = BatchIntervalSimulator(
+            spec, policy, seeds=(0,), validate=False, rng=rng
+        )
+        assert sim.dp_state == expected
+        assert sim.kernel.dp_state == expected
 
-    def test_multipair_degrades_with_warning_and_stays_identical(self):
-        # Remark-6 multi-pair stacks keep the dense recompute; an
-        # explicit request degrades loudly, then runs bit-identically.
-        spec = video_symmetric_spec(0.6, num_links=8)
-        with pytest.warns(RuntimeWarning, match="single-pair"):
-            sim = BatchIntervalSimulator(
-                spec,
-                DBDPPolicy(num_pairs=2),
-                seeds=(0, 1),
-                record_priorities=True,
-                validate=False,
-                backend="numpy",
-                dp_state="incremental",
-            )
+    def test_force_dense_hook_overrides_selection(self):
+        sim, _ = _run(_video(80), 1, dense=True, seeds=(0,))
         assert sim.dp_state == "dense"
-        inc_req = sim.run(120)
-        dense = BatchIntervalSimulator(
-            spec,
-            DBDPPolicy(num_pairs=2),
-            seeds=(0, 1),
-            record_priorities=True,
-            validate=False,
-            backend="numpy",
-            dp_state="dense",
-        ).run(120)
-        _assert_runs_identical(dense, inc_req, "multi-pair degrade")
+        assert BatchDPKernel._force_dense is False
 
 
 class TestOrderMaintenancePrimitive:
@@ -295,79 +242,3 @@ class TestOrderMaintenancePrimitive:
             apply_swap_to_order([0, 1, 2], 0)
         with pytest.raises(ValueError):
             apply_swap_to_order([0, 1, 2], 3)
-
-
-class TestSweepLevelDpState:
-    """A sweep-level ``dp_state`` request addresses the DP-family cells
-    only; families without ``supports_incremental_dp`` (ELDF/LDF) must
-    run exactly as they would with ``dp_state=None`` — neither raising
-    the kernel's strict ``ValueError`` nor silently demoting their fused
-    group to the per-cell fallback (whose different stream tags would
-    change the draws)."""
-
-    POLICIES = {"DBDP": DBDPPolicy, "LDF": ELDFPolicy}
-
-    @staticmethod
-    def _points(sweep):
-        return [
-            (p.policy, p.parameter, p.total_deficiency, p.collisions)
-            for p in sweep.points
-        ]
-
-    def test_fused_sweep_is_invariant_to_dp_state(self):
-        from repro.experiments.grid import run_sweep_fused
-
-        kw = dict(num_intervals=40, seeds=(0, 1))
-        base = run_sweep_fused(
-            "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, **kw
-        )
-        for mode in ("dense", "incremental"):
-            got = run_sweep_fused(
-                "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES,
-                dp_state=mode, **kw
-            )
-            assert self._points(got) == self._points(base), mode
-
-    def test_batch_sweep_is_invariant_to_dp_state(self):
-        from repro.experiments.runner import run_sweep
-
-        kw = dict(seeds=(0, 1), engine="batch")
-        base = run_sweep(
-            "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, 40,
-            **kw
-        )
-        got = run_sweep(
-            "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, 40,
-            dp_state="incremental", **kw
-        )
-        assert self._points(got) == self._points(base)
-
-    def test_run_single_degrades_for_non_dp_family(self):
-        from repro.experiments.runner import run_single
-
-        spec = video_symmetric_spec(0.6)
-        base = run_single(spec, ELDFPolicy, 40, seeds=(0, 1), engine="batch")
-        got = run_single(
-            spec, ELDFPolicy, 40, seeds=(0, 1), engine="batch",
-            dp_state="incremental",
-        )
-        assert got.total_deficiency == base.total_deficiency
-        assert got.collisions == base.collisions
-
-    @pytest.mark.parametrize("entry", ["run_single", "run_sweep_fused"])
-    def test_unknown_dp_state_rejected_before_degrade(self, entry):
-        from repro.experiments.grid import run_sweep_fused
-        from repro.experiments.runner import run_single
-
-        spec = video_symmetric_spec(0.6)
-        with pytest.raises(ValueError, match="dp_state"):
-            if entry == "run_single":
-                run_single(
-                    spec, ELDFPolicy, 20, seeds=(0,), engine="batch",
-                    dp_state="bogus",
-                )
-            else:
-                run_sweep_fused(
-                    "alpha", [0.6], video_symmetric_spec, self.POLICIES,
-                    num_intervals=20, seeds=(0,), dp_state="bogus",
-                )

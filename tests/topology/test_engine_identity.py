@@ -115,5 +115,5 @@ def test_non_capable_family_rejected():
     spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
     topo = partition_cells(NUM_LINKS, NUM_CELLS)
     factory = registry.resolve_policies(["FCSMA"])["FCSMA"]
-    with pytest.raises(TypeError, match="supports_topology"):
+    with pytest.raises(TypeError, match="family has no batch kernel"):
         TopologySimulator(spec, factory(), SEEDS, topo)

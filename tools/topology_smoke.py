@@ -11,7 +11,7 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
    only) populates the cache, then the full sweep resumes on top; the
    checkpointed cells are served warm and the result is bit-identical
    to an uncached reference run.
-3. **Degrade semantics**: a non-`supports_topology` family (FCSMA) in
+3. **Degrade semantics**: a family with no batch kernel (FCSMA) in
    the same sweep must degrade to single-domain with exactly one
    ``UserWarning`` while still producing finite points.
 
@@ -133,12 +133,16 @@ def drill_checkpoint_resume(num_intervals: int, report: dict) -> None:
 
 def drill_degrade_warning(num_intervals: int, report: dict) -> None:
     kwargs = sweep_kwargs(num_intervals, ["DB-DP", "FCSMA"])
-    print("[topology-smoke] mixed sweep with a non-capable family...")
+    print(
+        "[topology-smoke] mixed sweep with a family that has no batch "
+        "kernel..."
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run_sweep(**kwargs)
     topo_warnings = [
-        w for w in caught if "supports_topology" in str(w.message)
+        w for w in caught
+        if "families with no batch kernel" in str(w.message)
     ]
     assert len(topo_warnings) == 1, (
         f"expected exactly one degrade warning, got {len(topo_warnings)}"
