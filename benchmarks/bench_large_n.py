@@ -10,7 +10,9 @@ the workspace across intervals, applies accepted swaps in O(commits),
 and solves the timeline on the ``(S, K)`` backlogged serve set only —
 bit-identical by construction (asserted here and in
 ``tests/sim/test_incremental_dp.py``) and asymptotically flat in N
-outside the O(S*N) candidate/selection scans.
+outside the O(S*N) candidate/selection scans.  Beyond ``K`` links both
+paths read the same ``(S, K, A)`` rank-layout channel block, so
+neither pays for retry draws of links that cannot transmit.
 
 The kernel picks the path itself: incremental whenever
 ``N > max_transmissions + 1`` (61 on the video timing).  This benchmark

@@ -34,6 +34,19 @@ wrapper cost rivals its C time):
   unaffected, and chunk boundaries are independent of how ``run`` calls
   are split because the caches live on the kernel.
 
+Channel retry draws have one of two layouts, fixed at bind from the
+spec's size (:class:`_ChannelLayout`).  One interval fits at most
+``max_transmissions`` data attempts, so only the first ``K =
+max_transmissions + 1`` backlogged links in service order can ever be
+touched.  When ``N <= K`` the block is link-indexed ``(S, N, A)`` and
+transformed at refill.  When ``N > K`` the kernels draw a raw ``(S, K,
+A)`` rank block instead — slot ``j`` belongs to a row's ``j``-th
+backlogged link in this interval's service order — and transform only
+those rows, each with its own link's scale.  Every consumer reads
+through the draws' accessors: the incremental DP path takes the rank
+rows of its serve set, the dense paths (and the jit loop bodies) a link
+plane built from them in which the starved links read ``1..A``.
+
 Kernels also accept **per-row spec parameters** (the grid-fused engine):
 ``bind`` takes either one shared spec or a
 :class:`~repro.sim.spec_stack.SpecStack` with one spec per replication
@@ -181,22 +194,173 @@ def drain_totals(needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
 
     This is ``needed_cum[..., backlog - 1]`` (zero for empty buffers) in
     the draw dtype — the reference the chunked draws' flat gather
-    (:meth:`_ChunkedChannelDraws.totals`) must match.  It depends only on
-    the channel draws and the arrivals, not on any policy decision, so
-    lockstep simulators sharing draw blocks also share this plane
-    (``batch_sim._FanoutDraws``).
+    (:meth:`_ChannelLayout.totals`) must match.  On the link layout it
+    depends only on the channel draws and the arrivals, not on any policy
+    decision, so lockstep simulators sharing draw blocks also share this
+    plane (``batch_sim._FanoutDraws``).
     """
     idx = np.maximum(backlog - 1, 0)
     tot = np.take_along_axis(needed_cum, idx[:, :, None], axis=2)[:, :, 0]
     return np.where(backlog > 0, tot, needed_cum.dtype.type(0))
 
 
-class _ChunkedChannelDraws:
+class _ChannelLayout:
+    """How consumers read one interval's channel draw block.
+
+    Shared by :class:`_ChunkedChannelDraws` and the topology engine's
+    cell-wise wrapper.  Two layouts exist, fixed at construction:
+
+    * **link** (``rank_slots is None``): the block is ``(S, N, A)``
+      cumulative retry counts indexed by link, transformed at refill.
+    * **rank** (``rank_slots == K``): the block is ``(S, K, A)`` *raw*
+      standard exponentials; slot ``j`` of row ``s`` belongs to that
+      row's ``j``-th backlogged link in this interval's service order.
+      The geometric transform is applied per interval to the served rows
+      only, with each slot scaled by its own link's channel.
+
+    :meth:`served_rows` is the one accessor that knows the layout: the
+    cumulative rows of given served links, in rank order.  Dense
+    consumers read the link plane :meth:`link_block` builds from it.
+
+    Subclasses call :meth:`_init_layout` and provide ``_scale_now()``,
+    the ``(S, N)`` geometric scale plane of the current interval.
+    """
+
+    def _init_layout(
+        self,
+        num_rows: int,
+        num_links: int,
+        a_max: int,
+        dtype,
+        rank_slots: Optional[int],
+        scale_dtype,
+    ) -> None:
+        self._rows_n = num_rows
+        self._num_links = num_links
+        self._a = a_max
+        self._rank_k = None if rank_slots is None else int(rank_slots)
+        # Drain-totals gather scratch, reused every interval: the flat
+        # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
+        # block is ``(s * N + l) * A + (backlog - 1)``.
+        self._tot_base = (
+            np.arange(num_rows * num_links, dtype=np.int64) * a_max
+        ).reshape(num_rows, num_links)
+        self._tot_idx = np.empty((num_rows, num_links), dtype=np.int64)
+        self._tot_mask = np.empty((num_rows, num_links), dtype=bool)
+        self._tot2 = np.empty((num_rows, num_links), dtype=dtype)
+        if self._rank_k is not None:
+            self._scalek = np.empty(
+                (num_rows * self._rank_k, 1), dtype=scale_dtype
+            )
+            # Link plane for dense consumers (see link_block), built on
+            # first use: the incremental DP path never reads it.
+            self._link_buf: Optional[np.ndarray] = None
+            self._link_prev: Optional[np.ndarray] = None
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The draw dtype (float32 unless sums could exceed 2**24)."""
+        return np.dtype(self._dtype)
+
+    @property
+    def rank_slots(self) -> Optional[int]:
+        """``K`` for the rank layout, ``None`` for the link layout."""
+        return self._rank_k
+
+    def served_rows(
+        self, block: np.ndarray, links_flat: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Cumulative retry rows of the served links, in rank order.
+
+        ``links_flat`` is ``(S, M)``: flat ``row * N + link`` indices of
+        each row's served links in service order, backlogged links first.
+        The rank layout needs ``M == K`` and transforms slot ``j`` with
+        link ``links_flat[s, j]``'s scale (``ceil(E * scale)``, at least
+        1, running sum along the arrival axis — every partial sum an exact
+        small integer); the link layout gathers the already-transformed
+        rows.  Writes and returns ``out`` (``(S * M, A)``, draw dtype).
+        """
+        A = self._a
+        flat = links_flat.ravel()
+        if self._rank_k is None:
+            return block.reshape(-1, A).take(flat, axis=0, out=out)
+        self._scale_now().ravel().take(flat, out=self._scalek.ravel())
+        np.multiply(block.reshape(-1, A), self._scalek, out=out)
+        np.ceil(out, out=out)
+        np.maximum(out, 1.0, out=out)
+        np.cumsum(out, axis=1, out=out)
+        return out
+
+    def link_block(
+        self, block: np.ndarray, order: np.ndarray, backlog: np.ndarray
+    ) -> np.ndarray:
+        """``(S, N, A)`` link-indexed cumulative block for dense consumers.
+
+        The link layout returns ``block`` itself.  The rank layout serves
+        each row's first ``K`` backlogged links in ``order`` (link ids in
+        service order) through :meth:`served_rows` and gives every other
+        link the cumulative row ``1..A``.  Those links are provably
+        starved: attempt ceilings never exceed ``K - 1`` and are
+        non-increasing along the service order, and each served link
+        either uses at least one attempt or finds the ceiling already
+        reached, so after ``K - 1`` backlogged links nothing is left.
+        Any row of values >= 1 is therefore exact for them.  The plane
+        is reused across intervals; only the previous interval's served
+        rows are reset.  Callers must not retain it across intervals.
+        """
+        if self._rank_k is None:
+            return block
+        A, K, rows = self._a, self._rank_k, self._rows_n
+        if self._link_buf is None:
+            self._unit_row = np.arange(1, A + 1, dtype=self._dtype)
+            self._link_buf = np.empty(
+                (rows, self._num_links, A), dtype=self._dtype
+            )
+            self._link_buf[...] = self._unit_row
+            self._link_rows = np.empty((rows * K, A), dtype=self._dtype)
+            self._row_off = (
+                np.arange(rows, dtype=np.int64) * self._num_links
+            )[:, None]
+        plane = self._link_buf.reshape(-1, A)
+        if self._link_prev is not None:
+            plane[self._link_prev] = self._unit_row
+        idle = np.take_along_axis(backlog, order, axis=1) == 0
+        first = np.argsort(idle, axis=1, kind="stable")[:, :K]
+        flat = np.take_along_axis(order, first, axis=1) + self._row_off
+        self.served_rows(block, flat, self._link_rows)
+        self._link_prev = flat.ravel()
+        plane[self._link_prev] = self._link_rows
+        return self._link_buf
+
+    def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
+        """Per-link drain totals of a link-indexed block (``(S, N)``).
+
+        Same values as :func:`drain_totals` — the running cumsum gathered
+        at slot ``backlog - 1``, zero for empty buffers — via one flat
+        ``np.take`` into a reused buffer (callers must not mutate or
+        retain it across intervals).
+        """
+        np.subtract(backlog, 1, out=self._tot_idx)
+        np.maximum(self._tot_idx, 0, out=self._tot_idx)
+        np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
+        needed_cum.ravel().take(self._tot_idx.ravel(), out=self._tot2.ravel())
+        np.greater(backlog, 0, out=self._tot_mask)
+        np.multiply(self._tot2, self._tot_mask, out=self._tot2)
+        return self._tot2
+
+
+class _ChunkedChannelDraws(_ChannelLayout):
     """Pre-drawn geometric retry counts, :data:`DRAW_CHUNK` intervals deep.
 
-    ``next(rng)`` yields one interval's ``(S, N, A)`` cumulative-attempt
-    array; a fresh ``(DRAW_CHUNK, S, N, A)`` block is drawn whenever the
-    cache runs dry.
+    ``next(rng)`` yields one interval's block; a fresh ``DRAW_CHUNK``-deep
+    block is drawn whenever the cache runs dry.  The block's layout (see
+    :class:`_ChannelLayout`) is fixed at construction: with
+    ``rank_slots=None`` it is the link-indexed ``(S, N, A)`` cumulative
+    block, transformed eagerly at refill; with ``rank_slots=K`` it is the
+    raw ``(S, K, A)`` exponentials of the at most ``K`` links that can
+    transmit, transformed per interval by :meth:`served_rows`.  Kernels
+    pick ``K = max_transmissions + 1`` whenever ``N > K``, so the refill
+    cost scales with the attempt budget instead of the network size.
 
     Draws use inverse-transform sampling, ``g = max(ceil(E / lambda), 1)``
     with ``E`` standard exponential and ``lambda = -log(1 - p)``, which is
@@ -210,12 +374,12 @@ class _ChunkedChannelDraws:
 
     With ``state`` (a :class:`~repro.phy.channel.ChannelStateRows`) the
     probabilities are no longer a fixed plane: each refill evolves the
-    channel state once per buffered interval and scales that interval's
-    draws by its own ``(S, N)`` reliability plane.  Inverse-transform
+    channel state once per buffered interval and turns each interval's
+    ``(S, N)`` reliability plane into geometric scales.  Inverse-transform
     sampling makes this nearly free — the exponential stream is
     probability-independent, so dynamic channels reuse the same bulk
-    generation and only swap the per-interval scale.  The static path is
-    byte-for-byte unchanged when ``state`` is ``None``.
+    generation and only swap the per-interval scale.  The static link
+    layout is byte-for-byte unchanged when ``state`` is ``None``.
     """
 
     def __init__(
@@ -226,6 +390,7 @@ class _ChunkedChannelDraws:
         *,
         depth: Optional[int] = None,
         state: Optional[ChannelStateRows] = None,
+        rank_slots: Optional[int] = None,
     ):
         probs = np.asarray(success_probs, dtype=float)
         num_links = probs.shape[-1]
@@ -262,21 +427,12 @@ class _ChunkedChannelDraws:
         dtype = np.float32 if worst_cum < 2**24 else np.float64
         self._scale = scale.astype(dtype)
         self._depth = DRAW_CHUNK if depth is None else int(depth)
-        self._shape = (self._depth, num_seeds, num_links, a_max)
+        slots = num_links if rank_slots is None else int(rank_slots)
+        self._shape = (self._depth, num_seeds, slots, a_max)
         self._dtype = dtype
         self._cache: Optional[np.ndarray] = None
         self._pos = self._depth
-        # Drain-totals gather scratch, reused every interval: the flat
-        # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
-        # block is ``(s * N + l) * A + (backlog - 1)``.
-        self._tot_base = (
-            np.arange(num_seeds * num_links, dtype=np.int64) * a_max
-        ).reshape(num_seeds, num_links)
-        self._tot_idx = np.empty((num_seeds, num_links), dtype=np.int64)
-        self._tot_mask = np.empty((num_seeds, num_links), dtype=bool)
-        self._tot2 = np.empty((num_seeds, num_links), dtype=dtype)
         self._gen_buf: Optional[np.ndarray] = None
-        self._lazy = False
         self._state = state
         # Per-interval probability planes of one refill block, evolved at
         # refill time and turned into geometric scales in place.
@@ -285,53 +441,29 @@ class _ChunkedChannelDraws:
             if state is not None
             else None
         )
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The draw dtype (float32 unless sums could exceed 2**24)."""
-        return np.dtype(self._dtype)
-
-    @property
-    def lazy(self) -> bool:
-        """True when :meth:`next` yields *raw* exponential draws."""
-        return self._lazy
+        self._init_layout(
+            num_seeds,
+            num_links,
+            a_max,
+            dtype,
+            rank_slots,
+            np.float64 if state is not None else dtype,
+        )
+        if rank_slots is not None and state is None:
+            self._static_plane = np.ascontiguousarray(
+                np.broadcast_to(self._scale[0, :, :, 0], (num_seeds, num_links))
+            )
 
     @property
     def dynamic(self) -> bool:
         """True when a channel-state process evolves the planes."""
         return self._state is not None
 
-    def set_lazy(self) -> None:
-        """Switch to raw-draw mode: refills only generate exponentials.
-
-        The scale/ceil/cumsum transform — four full passes over the
-        ``(depth, S, N, A)`` block, the dominant ``kernel.dp.setup``
-        cost at large N — is skipped; the caller applies it to whatever
-        rows it actually gathers (the incremental path's K-sized serve
-        set) via :meth:`scale_rows`.  Element order and arithmetic are
-        unchanged, so transformed values are bit-identical to eager
-        mode's.  Must be selected before the first draw.
-        """
-        if self._lazy:
-            return
+    def _scale_now(self) -> np.ndarray:
+        """``(S, N)`` geometric scales of the current interval."""
         if self._state is not None:
-            # Lazy consumers scale gathered rows by a *static* (S, N)
-            # plane (scale_rows); a state process makes that plane
-            # per-interval, so the incremental path must stay eager.
-            raise RuntimeError(
-                "lazy channel draws are static-plane only; dynamic "
-                "channel state requires eager (dense) draws"
-            )
-        if self._cache is not None:
-            raise RuntimeError(
-                "cannot switch channel-draw transform mode mid-stream"
-            )
-        self._lazy = True
-
-    def scale_rows(self, num_seeds: int) -> np.ndarray:
-        """``(S, N)`` per-(row, link) geometric scales, in draw dtype."""
-        s2 = self._scale.reshape(self._scale.shape[1], self._scale.shape[2])
-        return np.ascontiguousarray(np.broadcast_to(s2, (num_seeds, s2.shape[1])))
+            return self._probs_buf[self._pos - 1]
+        return self._static_plane
 
     def next(
         self,
@@ -350,23 +482,21 @@ class _ChunkedChannelDraws:
                 allocs = 1
             draws = self._gen_buf
             rng.standard_exponential(dtype=self._dtype, out=draws)
-            if self._lazy:
-                # Raw mode: generation is the whole refill; consumers
-                # transform the rows they gather.
-                self._cache = draws
-            else:
-                if self._state is not None:
-                    # Evolve the state one step per buffered interval and
-                    # turn each interval's (S, N) probability plane into
-                    # geometric scales, all in place in the plane buffer:
-                    # p -> -1 / log1p(-p), with p == 1 -> scale 0 as in
-                    # the static precompute above.
-                    p = self._probs_buf
-                    self._state.evolve_block(self._depth, state_rng, out=p)
-                    np.negative(p, out=p)
-                    np.log1p(p, out=p)
-                    with np.errstate(divide="ignore"):
-                        np.divide(-1.0, p, out=p)
+            p = self._probs_buf
+            if p is not None:
+                # Evolve the state one step per buffered interval and
+                # turn each interval's (S, N) probability plane into
+                # geometric scales, all in place in the plane buffer:
+                # p -> -1 / log1p(-p), with p == 1 -> scale 0 as in
+                # the static precompute above.
+                self._state.evolve_block(self._depth, state_rng, out=p)
+                np.negative(p, out=p)
+                np.log1p(p, out=p)
+                with np.errstate(divide="ignore"):
+                    np.divide(-1.0, p, out=p)
+            if self._rank_k is None:
+                # Link layout: transform the whole block now.
+                if p is not None:
                     np.multiply(
                         draws,
                         p.reshape(self._depth, *self._shape[1:3], 1),
@@ -384,7 +514,7 @@ class _ChunkedChannelDraws:
                 flat = draws.reshape(-1, self._shape[-1])
                 for a in range(1, self._shape[-1]):
                     np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
-                self._cache = draws
+            self._cache = draws
             self._pos = 0
             if perf.counters.enabled:
                 perf.counters.add(
@@ -393,29 +523,6 @@ class _ChunkedChannelDraws:
         block = self._cache[self._pos]
         self._pos += 1
         return block
-
-    def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
-        """Per-link drain totals for the interval's block (``(S, N)``).
-
-        Same values as :func:`drain_totals` — the running cumsum gathered
-        at slot ``backlog - 1``, zero for empty buffers — via one flat
-        ``np.take`` into a reused buffer (callers must not mutate or
-        retain it across intervals).  Lockstep fan-out wrappers override
-        this with a per-serve-cycle cache (the plane depends only on
-        draws and arrivals, both shared).
-        """
-        if self._lazy:
-            raise RuntimeError(
-                "totals() needs eager (transformed) draws; this instance "
-                "is in lazy raw-draw mode"
-            )
-        np.subtract(backlog, 1, out=self._tot_idx)
-        np.maximum(self._tot_idx, 0, out=self._tot_idx)
-        np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
-        needed_cum.ravel().take(self._tot_idx.ravel(), out=self._tot2.ravel())
-        np.greater(backlog, 0, out=self._tot_mask)
-        np.multiply(self._tot2, self._tot_mask, out=self._tot2)
-        return self._tot2
 
 
 class _ChunkedUniforms:
@@ -660,12 +767,17 @@ class BatchPolicyKernel:
         self._chan_state_uses_rng = (
             chan_state is not None and chan_state.uses_rng
         )
+        # Only the first ``max_transmissions + 1`` backlogged links in
+        # service order can be touched in one interval; wider networks
+        # draw retries for those rank slots only (see _ChannelLayout).
+        rank_k = self._budget + 1
         self._channel_draws = _ChunkedChannelDraws(
             self._reliabilities,
             self.num_seeds,
             self._a_max,
             depth=self._depth,
             state=chan_state,
+            rank_slots=rank_k if first.num_links > rank_k else None,
         )
         self._rows = np.arange(self.num_seeds)[:, None]
         self._sync_channels: Optional[list] = None
@@ -929,9 +1041,8 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
         if counters.enabled:
             t0 = perf.clock()
         order = self._service_orders(k, positive_debts)
-        needed = self._channel_draws.next(
-            rng.free_stream("channel"), self._chan_rng(rng)
-        )
+        draws = self._channel_draws
+        block = draws.next(rng.free_stream("channel"), self._chan_rng(rng))
         lite = self._lite
         if not arrivals.any():
             # Fast path: nothing buffered anywhere in the stack — nobody
@@ -940,17 +1051,19 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             w.att_pos.fill(0)
             w.delivered.fill(0)
             att_pos = w.att_pos
-        elif self._use_jit:
-            order = np.ascontiguousarray(order)
-            jit_kernels.serve_rows(
-                order, arrivals, needed, int(self._budget),
-                w.delivered, w.att_posf,
-            )
-            att_pos = w.att_posf
         else:
-            np.add(order, w.row_off, out=w.oflat)
-            self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
-            att_pos = w.att_pos
+            needed = draws.link_block(block, order, arrivals)
+            if self._use_jit:
+                order = np.ascontiguousarray(order)
+                jit_kernels.serve_rows(
+                    order, arrivals, needed, int(self._budget),
+                    w.delivered, w.att_posf,
+                )
+                att_pos = w.att_posf
+            else:
+                np.add(order, w.row_off, out=w.oflat)
+                self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
+                att_pos = w.att_pos
         if att_pos is w.att_pos:
             np.matmul(att_pos, w.ones_wf, out=w.busyf)
             np.multiply(w.busyf, self._data_air, out=w.busy)
@@ -1192,17 +1305,15 @@ class BatchDPKernel(BatchPolicyKernel):
         )
         # The priority-state path is the kernel's own choice.  The
         # incremental sparse path covers the paper's protocol — one
-        # candidate pair, workspace path, static channel plane (its lazy
-        # raw draws are scaled by a fixed (S, N) plane, which a
-        # channel-state process would make per-interval) — and only pays
-        # off on a sparse serve set: with n <= max_transmissions + 1
-        # every link fits in the interval's transmission budget, the
-        # timeline visits all n positions either way and serve-set
-        # selection is pure overhead.  Both paths are bit-identical.
+        # candidate pair on the workspace path — and only pays off on a
+        # sparse serve set: with n <= max_transmissions + 1 every link
+        # fits in the interval's transmission budget, the timeline visits
+        # all n positions either way and serve-set selection is pure
+        # overhead.  Both paths read the same rank-layout channel block
+        # and are bit-identical.
         self._use_inc = (
             self._use_ws
             and P == 1
-            and not self._channel_draws.dynamic
             and n > self._budget + 1
             and not self._force_dense
         )
@@ -1371,21 +1482,16 @@ class BatchDPKernel(BatchPolicyKernel):
         w.boolk2 = np.empty((S, K), dtype=bool)
         w.boolk3 = np.empty((S, K), dtype=bool)
         w.boolk4 = np.empty((S, K), dtype=bool)
+        # The serve set's cumulative retry rows, in rank order (the
+        # channel draws' rank-layout accessor writes them here).
         w.needk2 = np.empty((S * K, A), dtype=workf)
         w.needk3 = w.needk2.reshape(S, K, A)
         w.cmpk2 = np.empty((S * K, A), dtype=workf)
         w.cmpk3 = w.cmpk2.reshape(S, K, A)
         w.ones_k = np.ones(K, dtype=workf)
         w.ones_af = np.ones(A, dtype=workf)
-        if not self._use_jit:
-            # Lazy channel draws: refills stop transforming the whole
-            # (depth, S, N, A) block; this path transforms only the
-            # (S, K, A) serve-set rows it gathers each interval.
-            self._channel_draws.set_lazy()
-            w.chan_scale = self._channel_draws.scale_rows(S)
-            w.scalek = np.empty((S * K, 1), dtype=workf)
-            w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
-            w.cum_row = None  # (n, A) scratch, built on first misfit row
+        # Flat offsets of each serve-set row inside the raveled block.
+        w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
         # Pair scratch — same shapes as the dense path (P == 1 here).
         w.cands = np.empty((S, 1), dtype=np.int64)
         w.candm1 = np.empty((S, 1), dtype=np.int64)
@@ -1441,8 +1547,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 "dp_incremental_rows",
                 np.int64, np.int64, np.bool_, np.bool_, np.bool_,
                 np.int64, np.int64, np.int64, workf, np.int64, np.int64,
-                np.int64, np.int64, np.int64, np.int64, np.bool_,
-                np.float64,
+                np.int64, np.int64, np.int64, np.bool_, np.float64,
             )
             if secs and perf.counters.enabled:
                 perf.counters.add("jit.warmup", secs)
@@ -1468,7 +1573,8 @@ class BatchDPKernel(BatchPolicyKernel):
           backlogged links in priority order, which provably covers every
           link that can receive an attempt — enters the timeline solve,
           so the block math is ``(S, K)`` instead of the dense solver's
-          ``(S, N)`` planes and (n, n)/(S, N, A) products;
+          ``(S, N)`` planes and (n, n)/(S, N, A) products, and its
+          channel rows are exactly the draws' ``(S, K, A)`` rank block;
         * the two candidate positions (the only ones with data-dependent
           backoffs or empty claims) are handled by per-row scalar
           columns, which is what makes the serve-set reduction exact.
@@ -1536,97 +1642,73 @@ class BatchDPKernel(BatchPolicyKernel):
         if rc.size:
             w.wa[rc] = w.acb[rc, 1]
             w.wb[rc] = w.acb[rc, 0]
-        needed = self._channel_draws.next(
+        block = self._channel_draws.next(
             rng.free_stream("channel"), self._chan_rng(rng)
         )
         if counters.enabled:
             counters.add("kernel.dp.setup", perf.clock() - t0)
             t0 = perf.clock()
 
-        use_jit = self._use_jit and not self._force_sequential
-        inc_allocs = 0
-        if not use_jit:
-            # -- incremental: sparse zeroing + serve-set selection ---------
-            # Zero the entries the *previous* interval touched (its serve
-            # set), then select this interval's serve set: the K lowest
-            # backlogged priority positions, with the candidate pair's
-            # position fix-ups applied on commit-coin rows.
-            np.add(w.prev_links, w.row_off, out=w.pfscr)
-            w.delivered.ravel()[w.pfscr.ravel()] = 0
-            if not lite:
-                w.attempts_i.ravel()[w.pfscr.ravel()] = 0
-            np.subtract(sigma, 1, out=w.posm)
-            if rc.size:
-                w.posm[rc, w.down[rc, 0]] = cdx
-                w.posm[rc, w.up[rc, 0]] = cdm1
-            np.equal(arrivals, 0, out=w.maskn)
-            np.copyto(w.posm, n, where=w.maskn)
-            # The K smallest positions (argpartition), then sorted into
-            # service order; np.argpartition/argsort have no out=
-            # variant, so these are the path's two accepted per-interval
-            # allocations (reported via the stage's alloc count).
-            part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
-            np.add(part, w.row_off, out=w.pflat)
-            w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
-            ordk = np.argsort(w.posk_un, axis=1)
-            np.add(ordk, w.row_off_k, out=w.oflatk)
-            w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
-            w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
-            posk = w.posk
-            inc_allocs = 2
-            np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
+        # -- incremental: sparse zeroing + serve-set selection -------------
+        # Zero the entries the *previous* interval touched (its serve set),
+        # then select this interval's serve set: the K lowest backlogged
+        # priority positions, with the candidate pair's position fix-ups
+        # applied on commit-coin rows.
+        np.add(w.prev_links, w.row_off, out=w.pfscr)
+        w.delivered.ravel()[w.pfscr.ravel()] = 0
+        if not lite:
+            w.attempts_i.ravel()[w.pfscr.ravel()] = 0
+        np.subtract(sigma, 1, out=w.posm)
+        if rc.size:
+            w.posm[rc, w.down[rc, 0]] = cdx
+            w.posm[rc, w.up[rc, 0]] = cdm1
+        np.equal(arrivals, 0, out=w.maskn)
+        np.copyto(w.posm, n, where=w.maskn)
+        # The K smallest positions (argpartition), then sorted into
+        # service order; np.argpartition/argsort have no out= variant, so
+        # these are the path's two accepted per-interval allocations
+        # (reported via the stage's alloc count).
+        part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
+        np.add(part, w.row_off, out=w.pflat)
+        w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
+        ordk = np.argsort(w.posk_un, axis=1)
+        np.add(ordk, w.row_off_k, out=w.oflatk)
+        w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
+        w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
+        posk = w.posk
+        np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
         if counters.enabled:
-            counters.add("kernel.dp.incremental", perf.clock() - t0, inc_allocs)
+            counters.add("kernel.dp.incremental", perf.clock() - t0, 2)
             t0 = perf.clock()
 
         # -- timeline ------------------------------------------------------
-        if use_jit:
-            # The compiled sweep maintains its own touched set (it zeroes
-            # and refills prev_links) and resolves each row's timeline
-            # exactly, stopping at the first position past the candidate
-            # pair whose attempt ceiling is provably exhausted.
+        # Backlogged links come first in the serve set, in service order,
+        # so rank slot j of the channel block is exactly serve-set entry j.
+        active = bool(arrivals.any())
+        if active:
+            self._channel_draws.served_rows(block, w.sel_flat, w.needk2)
+        if self._use_jit and not self._force_sequential:
+            # The compiled sweep walks each row's priority order, reading
+            # the i-th backlogged link's draws from rank row i, and stops
+            # at the first position past the candidate pair whose attempt
+            # ceiling is provably exhausted.
             jit_kernels.dp_incremental_rows(
                 w.inv, w.cands[:, 0], w.cc[:, 0], w.wa, w.wb,
                 w.bmin[:, 0], w.bmax[:, 0],
-                arrivals, needed,
+                arrivals, w.needk3,
                 float(T), float(air), float(slot), float(empty_air),
-                w.delivered, w.attempts_i, not lite,
-                w.prev_links, w.att_tot_i,
+                w.delivered, w.attempts_i, not lite, w.att_tot_i,
                 w.ne, w.idle, w.txa, w.start_a,
             )
             np.multiply(w.att_tot_i, air, out=w.busy)
         else:
-            active = bool(arrivals.any())
-            lazy = self._channel_draws.lazy
             if active:
                 arrivals.ravel().take(w.sel_flat.ravel(), out=w.blk.ravel())
                 # Per-link drain totals, gathered only for the serve set.
                 np.subtract(w.blk, 1, out=w.tmpk_i)
                 np.maximum(w.tmpk_i, 0, out=w.tmpk_i)
-                if lazy:
-                    # Raw draws: gather the serve-set rows first, then
-                    # apply the scale/ceil/cumsum transform to just the
-                    # (S, K, A) block — same element order and
-                    # arithmetic as the eager whole-block transform, so
-                    # the values are bit-identical.
-                    needed.reshape(S * n, -1).take(
-                        w.sel_flat.ravel(), axis=0, out=w.needk2
-                    )
-                    w.chan_scale.ravel().take(
-                        w.sel_flat.ravel(), out=w.scalek.ravel()
-                    )
-                    np.multiply(w.needk2, w.scalek, out=w.needk2)
-                    np.ceil(w.needk2, out=w.needk2)
-                    np.maximum(w.needk2, 1.0, out=w.needk2)
-                    np.cumsum(w.needk2, axis=1, out=w.needk2)
-                    np.add(w.skoff, w.tmpk_i, out=w.idx3)
-                    w.needk2.ravel().take(
-                        w.idx3.ravel(), out=w.totk.ravel()
-                    )
-                else:
-                    np.multiply(w.sel_flat, self._a_max, out=w.idx3)
-                    np.add(w.idx3, w.tmpk_i, out=w.idx3)
-                    needed.ravel().take(w.idx3.ravel(), out=w.totk.ravel())
+                np.add(w.skoff, w.tmpk_i, out=w.idx3)
+                w.needk2.ravel().take(w.idx3.ravel(), out=w.totk.ravel())
                 np.greater(w.blk, 0, out=w.boolk)
                 np.multiply(w.totk, w.boolk, out=w.totk)
                 # Backoff staircase by position: j below the pair, j + 2
@@ -1662,12 +1744,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 np.subtract(w.capk, w.cumk, out=w.budk)
                 np.minimum(w.budk, w.totk, out=w.uk)
                 np.maximum(w.uk, 0, out=w.uk)
-                # Delivered counts off the serve set's draw rows only
-                # (already gathered and transformed above in lazy mode).
-                if not lazy:
-                    needed.reshape(S * n, -1).take(
-                        w.sel_flat.ravel(), axis=0, out=w.needk2
-                    )
+                # Delivered counts off the serve set's draw rows only.
                 np.less_equal(
                     w.needk3, w.budk[:, :, None], out=w.cmpk3,
                     casting="unsafe",
@@ -1718,7 +1795,7 @@ class BatchDPKernel(BatchPolicyKernel):
             if self._force_sequential:
                 for s in range(S):
                     self._resolve_row_inc(
-                        s, arrivals, needed, posk, active, from_start=True
+                        s, arrivals, posk, active, from_start=True
                     )
             else:
                 np.logical_not(w.fits_a, out=w.t1)
@@ -1729,7 +1806,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 if w.t1.any():
                     for s in np.flatnonzero(w.t1):
                         self._resolve_row_inc(
-                            int(s), arrivals, needed, posk, active
+                            int(s), arrivals, posk, active
                         )
             np.greater(w.ua, 0, out=w.txa)
             np.logical_or(w.txa, w.fits_a, out=w.txa)
@@ -1777,7 +1854,6 @@ class BatchDPKernel(BatchPolicyKernel):
         self,
         s: int,
         arrivals: np.ndarray,
-        needed: np.ndarray,
         posk: np.ndarray,
         active: bool,
         from_start: bool = False,
@@ -1859,24 +1935,12 @@ class BatchDPKernel(BatchPolicyKernel):
             w.attempts_i.ravel()[sel[i0:]] = 0
         inv_row = w.inv[s]
         arr_row = arrivals[s]
-        if self._channel_draws.lazy:
-            # Raw draws: transform this row's whole (n, A) plane into a
-            # reused scratch.  Only misfitting-claim rows come through
-            # here, so the O(n*A) pass stays off the steady-state path.
-            scratch = w.cum_row
-            if scratch is None:
-                scratch = w.cum_row = np.empty(
-                    needed.shape[1:], dtype=needed.dtype
-                )
-            np.multiply(
-                needed[s], w.chan_scale[s][:, None], out=scratch
-            )
-            np.ceil(scratch, out=scratch)
-            np.maximum(scratch, 1.0, out=scratch)
-            np.cumsum(scratch, axis=1, out=scratch)
-            cum_rows = scratch
-        else:
-            cum_rows = needed[s]
+        # Rank rows of this row's serve set: the r-th backlogged link met
+        # in service order reads row r (rank i0 is the first backlogged
+        # position >= j0).  Links past the serve set are starved and
+        # never read a row.
+        cum_rows = w.needk3[s]
+        rank = i0
         delivered = w.delivered
         attempts = w.attempts_i
         for j in range(j0, n):
@@ -1901,7 +1965,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 cap = int((T - dead) // air)
                 budget = cap - att_total
                 if budget > 0:
-                    cum = cum_rows[link]
+                    cum = cum_rows[rank]
                     tot = int(cum[backlog - 1])
                     if tot <= budget:
                         used = tot
@@ -1917,6 +1981,7 @@ class BatchDPKernel(BatchPolicyKernel):
                         idle = b
                     if j == c - 1:
                         ua = used
+                rank += 1
             elif (j == c - 1 and wa) or (j == c and wb):
                 if empty_air > 0:
                     fits = start + empty_air <= T
@@ -2111,8 +2176,11 @@ class BatchDPKernel(BatchPolicyKernel):
             w.backoff.ravel().take(w.oflat.ravel(), out=w.bpos.ravel())
             w.we.ravel().take(w.oflat.ravel(), out=w.iep.ravel())
         oflat = w.oflat.ravel()
-        needed = self._channel_draws.next(
-            rng.free_stream("channel"), self._chan_rng(rng)
+        draws = self._channel_draws
+        needed = draws.link_block(
+            draws.next(rng.free_stream("channel"), self._chan_rng(rng)),
+            order,
+            arrivals,
         )
         if counters.enabled:
             counters.add("kernel.dp.setup", perf.clock() - t0)

@@ -545,11 +545,6 @@ class _FanoutDraws:
         self._block: Optional[np.ndarray] = None
         self._totals: Optional[np.ndarray] = None
 
-    @property
-    def lazy(self) -> bool:
-        """Whether the shared source serves raw (untransformed) draws."""
-        return bool(getattr(self._inner, "lazy", False))
-
     def next(
         self,
         rng: np.random.Generator,
@@ -568,14 +563,28 @@ class _FanoutDraws:
         self._remaining -= 1
         return self._block
 
+    @property
+    def rank_slots(self) -> Optional[int]:
+        return self._inner.rank_slots
+
+    def served_rows(self, block, links_flat, out):
+        return self._inner.served_rows(block, links_flat, out)
+
+    def link_block(self, block, order, backlog):
+        return self._inner.link_block(block, order, backlog)
+
     def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
         """Drain totals for the current serve cycle, computed once.
 
-        The plane depends only on the channel block and the backlog, and
-        lockstep clients of a channel fan-out share both (arrivals come
-        from a sibling fan-out), so every client of one cycle gets the
-        first client's computation.
+        On the link layout the plane depends only on the channel block
+        and the backlog, and lockstep clients of a channel fan-out share
+        both (arrivals come from a sibling fan-out), so every client of
+        one cycle gets the first client's computation.  On the rank
+        layout each client's link plane follows its own service order,
+        so nothing is cached.
         """
+        if self.rank_slots is not None:
+            return self._inner.totals(needed_cum, backlog)
         if self._totals is None:
             self._totals = self._inner.totals(needed_cum, backlog)
         return self._totals
@@ -606,18 +615,11 @@ def share_batch_draws(sims: Sequence["BatchIntervalSimulator"]) -> None:
         draws = sim.kernel._channel_draws
         # Chunk depth is part of the class key: blocks are shared by
         # reference, so lockstep clients must consume identically-shaped
-        # chunks.  Lazy (raw-draw) kernels transform gathered rows
-        # themselves; eager kernels expect the block pre-transformed.
-        # Both generate identical raw streams, but a shared *block* must
-        # mean the same thing to every client, so lazy-ness splits the
-        # class.
-        key = (
-            sim.rng.seeds,
-            sim.rng.stream_tag,
-            specs,
-            draws._depth,
-            bool(getattr(draws, "lazy", False)),
-        )
+        # chunks.  The block layout (link or rank) follows from the specs'
+        # size and timing, so equal specs already agree on it; a shared
+        # rank block is raw, and each client transforms its own serve
+        # set through the accessors.
+        key = (sim.rng.seeds, sim.rng.stream_tag, specs, draws._depth)
         for existing_key, members in classes:
             if existing_key == key:  # spec equality, not identity
                 members.append(sim)

@@ -187,7 +187,7 @@ def _dp_incremental_rows_py(
     bmin,
     bmax,
     backlog,
-    needed_cum,
+    needed_rank,
     interval_us,
     data_air,
     slot,
@@ -195,7 +195,6 @@ def _dp_incremental_rows_py(
     delivered,
     attempts,
     track_attempts,
-    prev_links,
     att_totals,
     num_empties,
     idle_slots,
@@ -213,26 +212,22 @@ def _dp_incremental_rows_py(
     ``c``, which hold the candidate pair with backoffs ``bmin``/``bmax``
     and may claim with empty packets per ``wants_a``/``wants_b``).
 
-    Outcome planes are maintained sparsely: entries touched last interval
-    (``prev_links[s, :]`` — padded with link 0, whose double-zeroing is
-    harmless) are zeroed on entry, links that receive attempts this
-    interval are written and recorded back into ``prev_links``.  At most
-    ``cap_max < prev_links.shape[1]`` links can receive attempts, so the
-    record never overflows.  The walk stops at the first position past
-    the pair whose attempt ceiling (every later backoff is at least
-    ``j + 3``) is exhausted — no later link can transmit and no claims
-    remain.  Per-row outputs: total attempts, fitting empties, the idle
-    backoff bound, and the position-``c - 1`` transmitted flag and start
-    time the swap commit needs.
+    ``needed_rank[s, r]`` is the cumulative retry row of the ``r``-th
+    backlogged link in this interval's service order (the channel draws'
+    rank layout); the walk counts backlogged links as it meets them.
+    Only the first ``needed_rank.shape[1]`` of them can receive attempts,
+    so the count never indexes past the block when a row is read.  The
+    caller zeroes last interval's serve set in ``delivered``/``attempts``
+    beforehand; links that receive attempts are written here.  The walk
+    stops at the first position past the pair whose attempt ceiling
+    (every later backoff is at least ``j + 3``) is exhausted — no later
+    link can transmit and no claims remain.  Per-row outputs: total
+    attempts, fitting empties, the idle backoff bound, and the
+    position-``c - 1`` transmitted flag and start time the swap commit
+    needs.
     """
     S, N = inv.shape
-    K = prev_links.shape[1]
     for s in prange(S):
-        for t in range(K):
-            link = prev_links[s, t]
-            delivered[s, link] = 0
-            if track_attempts:
-                attempts[s, link] = 0
         c = cand[s]
         sw = swap[s]
         att_total = 0
@@ -241,7 +236,7 @@ def _dp_incremental_rows_py(
         ne = 0
         txa = False
         sta = 0.0
-        tc = 0
+        r = 0
         for j in range(N):
             if j == c - 1:
                 link = inv[s, c] if sw else inv[s, c - 1]
@@ -264,7 +259,7 @@ def _dp_incremental_rows_py(
                 cap = int((interval_us - dead) // data_air)
                 budget = cap - att_total
                 if budget > 0:
-                    tot = needed_cum[s, link, bl - 1]
+                    tot = needed_rank[s, r, bl - 1]
                     if tot <= budget:
                         used = int(tot)
                         served = bl
@@ -272,7 +267,7 @@ def _dp_incremental_rows_py(
                         used = budget
                         served = 0
                         for a in range(bl):
-                            if needed_cum[s, link, a] <= budget:
+                            if needed_rank[s, r, a] <= budget:
                                 served += 1
                             else:
                                 break
@@ -280,12 +275,11 @@ def _dp_incremental_rows_py(
                     delivered[s, link] = served
                     if track_attempts:
                         attempts[s, link] = used
-                    prev_links[s, tc] = link
-                    tc += 1
                     if b > idle:
                         idle = b
                     if j == c - 1:
                         txa = True
+                r += 1
             elif (j == c - 1 and wants_a[s]) or (j == c and wants_b[s]):
                 if empty_air > 0:
                     fits = start + empty_air <= interval_us
@@ -306,8 +300,6 @@ def _dp_incremental_rows_py(
                 <= att_total
             ):
                 break
-        for t in range(tc, K):
-            prev_links[s, t] = 0
         att_totals[s] = att_total
         num_empties[s] = ne
         idle_slots[s] = idle
@@ -401,7 +393,7 @@ def dp_incremental_rows(
     bmin,
     bmax,
     backlog,
-    needed,
+    needed_rank,
     interval_us,
     data_air,
     slot,
@@ -409,7 +401,6 @@ def dp_incremental_rows(
     delivered,
     attempts,
     track_attempts,
-    prev_links,
     att_totals,
     num_empties,
     idle_slots,
@@ -433,7 +424,7 @@ def dp_incremental_rows(
         bmin,
         bmax,
         backlog,
-        needed,
+        needed_rank,
         interval_us,
         data_air,
         slot,
@@ -441,7 +432,6 @@ def dp_incremental_rows(
         delivered,
         attempts,
         track_attempts,
-        prev_links,
         att_totals,
         num_empties,
         idle_slots,
@@ -470,8 +460,8 @@ def warm_compile(stage: str, *dtypes) -> float:
     delivered, att_pos), ``"dp_timeline_rows"`` (dtypes: order, backoff,
     is_empty, backlog, needed, delivered, att_pos, fits, start,
     att_totals) or ``"dp_incremental_rows"`` (dtypes: inv, cand, swap,
-    wants_a, wants_b, bmin, bmax, backlog, needed, delivered, attempts,
-    prev_links, att_totals, num_empties, idle_slots, tx_a, start_a).
+    wants_a, wants_b, bmin, bmax, backlog, needed_rank, delivered,
+    attempts, att_totals, num_empties, idle_slots, tx_a, start_a).
     Both the serial and parallel variants are compiled.
     """
     if not HAS_NUMBA or force_python:
@@ -521,7 +511,7 @@ def warm_compile(stage: str, *dtypes) -> float:
         (
             inv_dt, cand_dt, swap_dt, wa_dt, wb_dt,
             bmin_dt, bmax_dt, backlog_dt, needed_dt,
-            delivered_dt, att_dt, prev_dt, tot_dt, ne_dt,
+            delivered_dt, att_dt, tot_dt, ne_dt,
             idle_dt, tx_dt, start_dt,
         ) = dtypes
         args = (
@@ -541,7 +531,6 @@ def warm_compile(stage: str, *dtypes) -> float:
             z(delivered_dt, S, N),
             z(att_dt, S, N),
             True,
-            z(prev_dt, S, N),
             z(tot_dt, S),
             z(ne_dt, S),
             z(idle_dt, S),

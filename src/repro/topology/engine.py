@@ -41,6 +41,7 @@ from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
 from ..sim.batch_kernels import (
+    _ChannelLayout,
     _ChunkedChannelDraws,
     _ChunkedIntegers,
     _ChunkedUniforms,
@@ -77,13 +78,17 @@ class _CellwiseBlocks:
         return self._out
 
 
-class _CellwiseChannelDraws(_CellwiseBlocks):
-    """Cell-wise channel retry blocks with the fast drain-totals gather.
+class _CellwiseChannelDraws(_ChannelLayout, _CellwiseBlocks):
+    """Cell-wise channel retry blocks, read through the kernel's layout.
 
-    ``state_gens`` supplies one channel-state evolution stream per cell
-    when the cells carry stochastic channel state; each cell's state then
-    evolves from its own stream, preserving the per-cell draw isolation
-    that makes sharded topology runs exact.
+    Every cell's inner draws use the kernel's block layout (link or rank,
+    see :class:`~repro.sim.batch_kernels._ChannelLayout`), so the packed
+    block has the shape the kernel expects and the accessors transform
+    rank slots with each packed row's own scales.  ``state_gens``
+    supplies one channel-state evolution stream per cell when the cells
+    carry stochastic channel state; each cell's state then evolves from
+    its own stream, preserving the per-cell draw isolation that makes
+    sharded topology runs exact.
     """
 
     def __init__(
@@ -95,44 +100,55 @@ class _CellwiseChannelDraws(_CellwiseBlocks):
         a_max: int,
         state_gens=None,
     ):
+        inners = list(inners)
         dtypes = {inner.dtype for inner in inners}
         if len(dtypes) != 1:
             raise TypeError(
                 f"cells disagree on the channel draw dtype ({dtypes}); "
                 "mixed-precision cells cannot share one packed block"
             )
-        rows = num_seeds * len(list(inners))
-        out = np.empty((rows, width, a_max), dtype=dtypes.pop())
-        super().__init__(inners, gens, out, num_seeds)
+        self._dtype = dtypes.pop()
+        rank_k = inners[0].rank_slots
+        rows = num_seeds * len(inners)
+        slots = width if rank_k is None else rank_k
+        out = np.empty((rows, slots, a_max), dtype=self._dtype)
+        _CellwiseBlocks.__init__(self, inners, gens, out, num_seeds)
         self._state_gens = list(state_gens) if state_gens is not None else None
-        self._tot_base = (
-            np.arange(rows * width, dtype=np.int64) * a_max
-        ).reshape(rows, width)
-        self._tot_idx = np.empty((rows, width), dtype=np.int64)
-        self._tot_mask = np.empty((rows, width), dtype=bool)
-        self._tot2 = np.empty((rows, width), dtype=out.dtype)
+        dynamic = inners[0].dynamic
+        self._init_layout(
+            rows,
+            width,
+            a_max,
+            self._dtype,
+            rank_k,
+            np.float64 if dynamic else self._dtype,
+        )
+        # Packed (R, width) scale plane of the current interval: static
+        # cells fill it once, dynamic cells every interval in next().
+        self._track_scales = rank_k is not None and dynamic
+        if rank_k is not None:
+            self._scale_plane = np.empty(
+                (rows, width), dtype=self._scalek.dtype
+            )
+            if not dynamic:
+                self._copy_scales()
+
+    def _copy_scales(self) -> None:
+        S = self._S
+        for c, inner in enumerate(self._inners):
+            self._scale_plane[c * S : (c + 1) * S] = inner._scale_now()
+
+    def _scale_now(self) -> np.ndarray:
+        return self._scale_plane
 
     def next(self, _rng, _state_rng=None) -> np.ndarray:
         S = self._S
         for c, (inner, gen) in enumerate(zip(self._inners, self._gens)):
             sg = self._state_gens[c] if self._state_gens is not None else None
             self._out[c * S : (c + 1) * S] = inner.next(gen, sg)
+        if self._track_scales:
+            self._copy_scales()
         return self._out
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._out.dtype
-
-    def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
-        # Same exact-integer gather as _ChunkedChannelDraws.totals, sized
-        # for the packed (R, width) plane.
-        np.subtract(backlog, 1, out=self._tot_idx)
-        np.maximum(self._tot_idx, 0, out=self._tot_idx)
-        np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
-        needed_cum.ravel().take(self._tot_idx.ravel(), out=self._tot2.ravel())
-        np.greater(backlog, 0, out=self._tot_mask)
-        np.multiply(self._tot2, self._tot_mask, out=self._tot2)
-        return self._tot2
 
 
 class _PackedBatchSim(BatchIntervalSimulator):
@@ -304,6 +320,7 @@ class TopologySimulator:
                     f"cells must share one A_max for packed draws: got "
                     f"{cell_a_max} vs {a_max}"
                 )
+        rank_k = kernel._channel_draws.rank_slots
         kernel._channel_draws = _CellwiseChannelDraws(
             [
                 _ChunkedChannelDraws(
@@ -311,6 +328,7 @@ class TopologySimulator:
                     S,
                     a_max,
                     depth=depth,
+                    rank_slots=rank_k,
                     # Per-cell channel state: S rows of this cell's own
                     # (take_links-sliced) channel, evolved from the
                     # cell's dedicated stream below.

@@ -108,6 +108,30 @@ class TestLockstepSharing:
         unshared = run_sweep_fused(**kw)
         assert shared.points == unshared.points
 
+    def test_rank_layout_sharing_changes_no_values(self, monkeypatch):
+        """At N=80 (beyond the 61-slot transmission budget) the stacks
+        share raw rank blocks; each kernel transforms its own serve set,
+        so sharing must still change nothing."""
+        kw = dict(
+            BASE,
+            spec_builder=lambda a: video_symmetric_spec(a, num_links=80),
+            policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy},
+            rng="free",
+        )
+        ranks = []
+
+        def share_and_record(sims):
+            real_share(sims)
+            ranks.extend(sim.kernel._channel_draws.rank_slots for sim in sims)
+
+        real_share = grid.share_batch_draws
+        monkeypatch.setattr(grid, "share_batch_draws", share_and_record)
+        shared = run_sweep_fused(**kw)
+        assert ranks == [61, 61]
+        monkeypatch.setattr(grid, "share_batch_draws", lambda sims: None)
+        unshared = run_sweep_fused(**kw)
+        assert shared.points == unshared.points
+
 
 class TestStatistics:
     def test_default_mode_statistically_close_to_per_cell(self):

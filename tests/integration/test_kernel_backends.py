@@ -102,6 +102,44 @@ class TestDirectBatchBackendIdentity:
             )
 
 
+class TestRankLayoutBackendIdentity:
+    """Beyond the transmission budget (N=80 > 61 on the video timing)
+    every consumer reads the rank-layout channel block: the dense
+    ordered-service and DP paths through its link plane, the incremental
+    DP path through its rank rows.  The jit loop bodies must read the
+    same values as the NumPy passes."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            LDFPolicy,
+            RoundRobinPolicy,
+            StaticPriorityPolicy,
+            DBDPPolicy,
+            lambda: DBDPPolicy(num_pairs=2),
+        ],
+        ids=["LDF", "RoundRobin", "StaticPriority", "DB-DP", "DB-DP-2pair"],
+    )
+    def test_backends_agree_at_n80(self, factory, jit_runnable):
+        spec = video_symmetric_spec(0.6, num_links=80)
+        results = {
+            backend: run_simulation_batch(
+                spec, factory(), 150, SEEDS,
+                record_priorities=True, backend=backend, rng="free",
+            )
+            for backend in KERNEL_BACKENDS
+        }
+        ref, got = results["numpy"], results["jit"]
+        assert ref.deliveries.sum() > 0
+        for field in (
+            "deliveries", "attempts", "busy_time_us", "overhead_time_us",
+            "collisions", "priorities",
+        ):
+            np.testing.assert_array_equal(
+                getattr(got, field), getattr(ref, field), err_msg=field
+            )
+
+
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):

@@ -8,6 +8,8 @@ against brute-force sequential references on shared inputs.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +25,8 @@ from repro import (
     RoundRobinPolicy,
     idealized_timing,
 )
-from repro.experiments.configs import video_symmetric_spec
+from repro.experiments.configs import low_latency_spec, video_symmetric_spec
+from repro.phy.channel import channel_from_spec
 from repro.sim.batch_kernels import (
     DRAW_CHUNK,
     BatchDPKernel,
@@ -256,6 +259,170 @@ class TestChunkedChannelDraws:
         )
         tiny = np.full(2, 1e-9)
         assert _ChunkedChannelDraws(tiny, 2, 4).dtype == np.float64
+
+
+def _geometric_cum(raw, scale):
+    """Reference transform: ``cumsum(max(ceil(E * scale), 1))`` per row."""
+    return np.cumsum(np.maximum(np.ceil(raw * scale), 1.0), axis=-1)
+
+
+class TestChannelLayout:
+    """Link vs rank layout of the channel retry block.
+
+    Networks wider than ``max_transmissions + 1`` draw raw exponentials
+    for the ``K = max_transmissions + 1`` rank slots only; every consumer
+    reads them through ``served_rows`` (rank order) or ``link_block``
+    (a link plane built from it).  Narrower networks keep the eager
+    link-indexed block, byte for byte.
+    """
+
+    S, N, A, K = 3, 10, 4, 4
+
+    def _probs(self):
+        return np.linspace(0.5, 0.95, self.N)
+
+    def test_rank_blocks_are_raw_rank_slots(self):
+        draws = _ChunkedChannelDraws(
+            self._probs(), self.S, self.A, depth=3, rank_slots=self.K
+        )
+        assert draws.rank_slots == self.K
+        rng = np.random.default_rng(21)
+        got = [draws.next(rng).copy() for _ in range(5)]
+        raw = np.random.default_rng(21).standard_exponential(
+            (6, self.S, self.K, self.A), dtype=np.float32
+        )
+        for k, block in enumerate(got):
+            assert block.shape == (self.S, self.K, self.A)
+            np.testing.assert_array_equal(block, raw[k])
+
+    def test_served_rows_scale_each_slot_by_its_link(self):
+        probs = self._probs()
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, rank_slots=self.K)
+        block = draws.next(np.random.default_rng(4))
+        pick = np.random.default_rng(5)
+        links = np.stack(
+            [pick.permutation(self.N)[: self.K] for _ in range(self.S)]
+        )
+        flat = links + (np.arange(self.S) * self.N)[:, None]
+        out = np.empty((self.S * self.K, self.A), dtype=draws.dtype)
+        got = draws.served_rows(block, flat, out).reshape(
+            self.S, self.K, self.A
+        )
+        scale = (-1.0 / np.log1p(-probs)).astype(np.float32)
+        ref = _geometric_cum(block, scale[links][:, :, None])
+        np.testing.assert_array_equal(got, ref)
+
+    def test_link_layout_served_rows_gather_link_rows(self):
+        draws = _ChunkedChannelDraws(self._probs(), self.S, self.A)
+        assert draws.rank_slots is None
+        block = draws.next(np.random.default_rng(8))
+        assert block.shape == (self.S, self.N, self.A)
+        links = np.tile(np.array([7, 2, 5]), (self.S, 1))
+        flat = links + (np.arange(self.S) * self.N)[:, None]
+        out = np.empty((self.S * 3, self.A), dtype=draws.dtype)
+        got = draws.served_rows(block, flat, out).reshape(self.S, 3, self.A)
+        rows = np.arange(self.S)[:, None]
+        np.testing.assert_array_equal(got, block[rows, links])
+        order = np.tile(np.arange(self.N), (self.S, 1))
+        backlog = np.ones((self.S, self.N), dtype=np.int64)
+        assert draws.link_block(block, order, backlog) is block
+
+    def test_link_block_serves_first_backlogged_links_in_order(self):
+        """Rank slot j lands on the j-th backlogged link of the service
+        order; every other link reads the unit row 1..A, and the previous
+        interval's served rows are reset on the next call."""
+        probs = self._probs()
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, rank_slots=self.K)
+        scale = (-1.0 / np.log1p(-probs)).astype(np.float32)
+        unit = np.arange(1, self.A + 1, dtype=np.float32)
+        gen = np.random.default_rng(12)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            block = draws.next(rng)
+            order = np.stack([gen.permutation(self.N) for _ in range(self.S)])
+            backlog = gen.integers(0, 2, (self.S, self.N)) * gen.integers(
+                1, self.A + 1, (self.S, self.N)
+            )
+            plane = draws.link_block(block, order, backlog)
+            for s in range(self.S):
+                busy = [int(l) for l in order[s] if backlog[s, l] > 0]
+                for link in range(self.N):
+                    if link in busy[: self.K]:
+                        r = busy.index(link)
+                        ref = _geometric_cum(block[s, r], scale[link])
+                        np.testing.assert_array_equal(plane[s, link], ref)
+                    elif link not in busy:
+                        # Idle links never read their row; only served
+                        # links and starved backlogged ones are pinned.
+                        continue
+                    else:
+                        np.testing.assert_array_equal(plane[s, link], unit)
+
+    def test_dynamic_rank_rows_use_the_interval_scale_plane(self):
+        spec = dataclasses.replace(
+            video_symmetric_spec(0.55, num_links=80),
+            channel=channel_from_spec("ge:0.1:0.3", 80),
+        )
+        kernel = make_batch_kernel(LDFPolicy())
+        kernel.bind(spec, 2)
+        draws = kernel._channel_draws
+        assert draws.dynamic and draws.rank_slots == 61
+        rng = BatchRngBundle((0, 1))
+        links = np.tile(np.arange(61), (2, 1)) + np.array([[0], [80]])
+        out = np.empty((2 * 61, draws._a), dtype=draws.dtype)
+        for _ in range(3):
+            block = draws.next(rng.free_stream("channel"), kernel._chan_rng(rng))
+            got = draws.served_rows(block, links, out).reshape(2, 61, -1)
+            scale = draws._probs_buf[draws._pos - 1][:, :61, None]
+            ref = np.cumsum(
+                np.maximum(np.ceil((block * scale).astype(np.float32)), 1.0),
+                axis=-1,
+            )
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "n,expected", [(20, None), (61, None), (62, 61), (10000, 61)]
+    )
+    def test_kernel_layout_follows_network_size(self, n, expected):
+        kernel = make_batch_kernel(DBDPPolicy())
+        kernel.bind(video_symmetric_spec(0.55, num_links=n), 2)
+        draws = kernel._channel_draws
+        assert draws.rank_slots == expected
+        block = draws.next(np.random.default_rng(0))
+        assert block.shape == (2, n if expected is None else expected, 6)
+
+    @pytest.mark.parametrize(
+        "build,policy,seeds,digest",
+        [
+            (lambda: video_symmetric_spec(0.55, num_links=20), DBDPPolicy,
+             (0, 1, 2), "b59e8a7966438551"),
+            (lambda: video_symmetric_spec(0.55, num_links=61), LDFPolicy,
+             (4, 5), "83f3b342a194e5d3"),
+            (lambda: dataclasses.replace(
+                video_symmetric_spec(0.55, num_links=20),
+                channel=channel_from_spec("ge:0.1:0.3", 20),
+            ), DBDPPolicy, (0, 1), "04415a8b1e58aab3"),
+            (lambda: low_latency_spec(0.55, num_links=10), DBDPPolicy,
+             (7,), "bc88ae499eb6af7e"),
+        ],
+        ids=["video-20", "video-61-ldf", "video-20-ge", "low-latency-10"],
+    )
+    def test_link_layout_blocks_unchanged(self, build, policy, seeds, digest):
+        """Networks within the transmission budget keep the link-indexed,
+        eagerly transformed block: 300 intervals (a refill boundary
+        included) hash to the values recorded before the rank layout
+        existed."""
+        kernel = make_batch_kernel(policy())
+        kernel.bind(build(), len(seeds))
+        assert kernel._channel_draws.rank_slots is None
+        rng = BatchRngBundle(seeds)
+        h = hashlib.sha256()
+        for _ in range(300):
+            block = kernel._channel_draws.next(
+                rng.free_stream("channel"), kernel._chan_rng(rng)
+            )
+            h.update(np.ascontiguousarray(block).tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestKernelDispatch:

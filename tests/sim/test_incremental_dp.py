@@ -13,11 +13,12 @@ the engine exists for.
 
 The kernel picks the path itself at bind
 (:meth:`repro.sim.batch_kernels.BatchDPKernel._on_bind`): incremental
-iff the workspace path is bound, ``num_pairs == 1``, the channel is
-static and ``n > max_transmissions + 1``.  Every comparison below runs
-on a size the selector sends to the sparse path and checks it against
-the dense reference forced through the kernel's private
-``_force_dense`` hook.
+iff the workspace path is bound, ``num_pairs == 1`` and ``n >
+max_transmissions + 1``.  Every comparison below runs on a size the
+selector sends to the sparse path and checks it against the dense
+reference forced through the kernel's private ``_force_dense`` hook.
+Both paths read the same rank-layout channel block (retry draws for the
+first ``max_transmissions + 1`` backlogged links in service order).
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _video(n, alpha=0.55):
 def _low_latency(n, alpha=0.55):
     # Budget 16: N=20 is a cheap sparse case.
     return low_latency_spec(alpha, num_links=n)
+
+
+def _video_ge(n, alpha=0.55):
+    # Gilbert-Elliott state: per-interval scale planes in the rank block.
+    return dataclasses.replace(
+        _video(n, alpha), channel=channel_from_spec("ge:0.1:0.3", n)
+    )
 
 
 def _run(
@@ -100,6 +108,7 @@ class TestDenseIncrementalBitIdentity:
             (_video, 200, 60, (0, 1, 2)),
             (_video, 2000, 6, (0, 1)),
             (_low_latency, 20, 300, (0, 1, 2)),
+            (_video_ge, 80, 150, (0, 1, 2)),
         ],
     )
     def test_every_interval_identical(self, builder, n, num_intervals, seeds):
@@ -177,8 +186,8 @@ class TestCrossBackendIdentity:
 
 class TestPathSelection:
     """The kernel alone picks the path: incremental iff workspace path,
-    one swap pair, static channel and ``n > max_transmissions + 1``
-    (the video timing's budget is 60)."""
+    one swap pair and ``n > max_transmissions + 1`` (the video timing's
+    budget is 60), whatever the channel."""
 
     @pytest.mark.parametrize(
         "case,n,expected",
@@ -187,7 +196,7 @@ class TestPathSelection:
             ("video", 61, "dense"),
             ("video", 62, "incremental"),
             ("num_pairs=2", 80, "dense"),
-            ("ge-channel", 80, "dense"),
+            ("ge-channel", 80, "incremental"),
             ("rng=sync", 80, "dense"),
         ],
     )
