@@ -106,7 +106,7 @@ __all__ = [
 ]
 
 #: Intervals' worth of randomness drawn per Generator call.  Arrival
-#: blocks use the same depth (see ``batch_sim._BatchArrivalDraws``).
+#: blocks use the same depth (see ``batch_sim._ArrivalDraws``).
 DRAW_CHUNK = 256
 
 #: Interval-resolution backends a kernel can bind with.

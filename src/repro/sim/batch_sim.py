@@ -388,70 +388,32 @@ class BatchSweepStats:
         return np.stack(self._overhead_rows).mean(axis=0)
 
 
-class _BatchArrivalDraws:
+class _ArrivalDraws:
     """Chunked arrival blocks for the vectorized ``rng="free"`` mode.
 
-    Batch-samplable processes are stateless (i.i.d. across both
-    replications and intervals), so :data:`DRAW_CHUNK` intervals' worth of
-    arrivals can come from one oversized draw — same distribution, far
-    fewer Generator round-trips.
-    """
+    One ``(depth, S, N)`` int64 block, allocated at the first refill and
+    then refilled in place every ``depth`` intervals.  Stateless rows are
+    grouped by process equality (first-appearance order) and each group
+    fills its rows through
+    :meth:`~repro.traffic.arrivals.ArrivalProcess.fill_batch` from the
+    arrivals stream, in group order — the values of one
+    ``sample_batch(rng, depth * rows)`` per group.  Stateful rows are
+    stacked by class into :class:`~repro.traffic.arrivals.ArrivalStateRows`
+    planes that evolve one interval per block slot, consuming the
+    dedicated ``"arrival-state"`` substream held internally (fan-out
+    sharing passes only the arrivals stream through ``next``), so
+    stateful neighbours never shift a stateless process's draw schedule.
 
-    def __init__(
-        self,
-        stack: Optional[SpecStack],
-        spec: NetworkSpec,
-        num_seeds: int,
-        depth: Optional[int] = None,
-    ):
-        # Arrival sampling may make several Generator calls per block
-        # (e.g. bursty uniforms then integers), so the block size changes
-        # how the stream's values interleave — unlike the single-call
-        # channel/uniform chunks, a different depth here changes the
-        # trajectory (arrivals stay i.i.d. per interval at any depth).
-        self._stack = stack
-        self._spec = spec
-        self._num_seeds = num_seeds
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
-        self._cache: Optional[np.ndarray] = None
-        self._pos = self._depth
+    A group whose rows form a contiguous slice (a single spec, a
+    topology cell, a fused grid's cell) fills its view of the block
+    directly; an interleaved group fills its own plane, allocated once,
+    and scatters it into the block.  Planes handed out by ``next`` are
+    views of the reused block, so consumers copy what they keep.
 
-    def next(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            if self._stack is not None:
-                self._cache = self._stack.sample_arrival_block(
-                    rng, self._depth
-                )
-            else:
-                flat = self._spec.arrivals.sample_batch(
-                    rng, self._depth * self._num_seeds
-                )
-                self._cache = flat.reshape(
-                    self._depth, self._num_seeds, self._spec.num_links
-                )
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.arrival_refill", perf.clock() - t0, 1
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
-
-
-class _StatefulArrivalDraws:
-    """Chunked arrival blocks when some rows carry evolving state.
-
-    Stateless rows draw exactly as :class:`_BatchArrivalDraws` would —
-    grouped ``sample_batch`` calls from the arrivals stream, in row
-    order — so adding stateful neighbors to a stack never shifts a
-    stateless process's draw schedule.  Stateful rows are stacked by
-    class into :class:`~repro.traffic.arrivals.ArrivalStateRows` planes
-    that evolve one interval per block slot, consuming the dedicated
-    ``"arrival-state"`` substream held internally (fan-out sharing passes
-    only the arrivals stream through ``next``).
+    A family's draw phases (e.g. bursty uniforms, then burst sizes) each
+    span the whole block, so unlike the single-call channel/uniform
+    chunks the depth is part of the trajectory: a different depth
+    changes the values (arrivals stay i.i.d. per interval at any depth).
     """
 
     def __init__(
@@ -462,17 +424,23 @@ class _StatefulArrivalDraws:
         depth: Optional[int] = None,
         state_rng: Optional[np.random.Generator] = None,
     ):
-        specs = stack.specs if stack is not None else (spec,) * num_seeds
-        self._num_seeds = num_seeds
-        self._n = specs[0].num_links
         self._depth = DRAW_CHUNK if depth is None else int(depth)
+        if self._depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self._depth}")
+        self._specs = stack.specs if stack is not None else (spec,) * num_seeds
         self._state_rng = state_rng
-        # Stateless rows grouped by process equality (one sample_batch per
-        # distinct process); stateful rows grouped by class (one stacked
-        # state plane per family).
+        self._block: Optional[np.ndarray] = None
+        self._fills: List[Tuple] = []
+        self._pos = self._depth
+
+    def _build(self) -> int:
+        """Group rows and allocate the block; returns arrays allocated."""
+        # Deferred to the first refill: a simulator whose draws are
+        # replaced (topology cells) or shared (fan-out) never pays for the
+        # grouping scan or the block.
         stateless: List[Tuple] = []
         by_class: List[Tuple[type, List, List[int]]] = []
-        for i, sp in enumerate(specs):
+        for i, sp in enumerate(self._specs):
             proc = sp.arrivals
             if proc.has_state:
                 for cls, procs, rows in by_class:
@@ -489,38 +457,43 @@ class _StatefulArrivalDraws:
                         break
                 else:
                     stateless.append((proc, [i]))
-        self._stateless = [(proc, rows) for proc, rows in stateless]
-        self._state_groups = [
-            (
-                cls.stack_rows(procs),
-                rows,
-                np.empty((self._depth, len(rows), self._n), dtype=np.int64),
-            )
+        n = self._specs[0].num_links
+        self._block = np.empty(
+            (self._depth, len(self._specs), n), dtype=np.int64
+        )
+        groups = [(proc.fill_batch, False, rows) for proc, rows in stateless]
+        groups += [
+            (cls.stack_rows(procs).evolve_block, True, rows)
             for cls, procs, rows in by_class
         ]
-        self._cache = np.empty(
-            (self._depth, num_seeds, self._n), dtype=np.int64
-        )
-        self._pos = self._depth
+        for fill, stateful, rows in groups:
+            lo, hi = rows[0], rows[-1] + 1
+            if hi - lo == len(rows):
+                target, scatter = self._block[:, lo:hi], None
+            else:
+                target = np.empty((self._depth, len(rows), n), dtype=np.int64)
+                scatter = rows
+            self._fills.append((fill, stateful, target, scatter))
+        return 1 + sum(scatter is not None for *_, scatter in self._fills)
 
     def next(self, rng: np.random.Generator) -> np.ndarray:
         if self._pos >= self._depth:
             if perf.counters.enabled:
                 t0 = perf.clock()
-            for proc, rows in self._stateless:
-                flat = proc.sample_batch(rng, self._depth * len(rows))
-                self._cache[:, rows] = flat.reshape(
-                    self._depth, len(rows), self._n
-                )
-            for state_rows, rows, buf in self._state_groups:
-                state_rows.evolve_block(self._depth, self._state_rng, buf)
-                self._cache[:, rows] = buf
+            allocs = self._build() if self._block is None else 0
+            for fill, stateful, target, scatter in self._fills:
+                if stateful:
+                    fill(self._depth, self._state_rng, target)
+                else:
+                    fill(rng, target)
+                if scatter is not None:
+                    self._block[:, scatter] = target
             self._pos = 0
             if perf.counters.enabled:
                 perf.counters.add(
-                    "draws.arrival_refill", perf.clock() - t0, 1
+                    "draws.arrival_refill", perf.clock() - t0, allocs
                 )
-        block = self._cache[self._pos]
+        block = self._block[self._pos]
         self._pos += 1
         return block
 
@@ -799,23 +772,17 @@ class BatchIntervalSimulator:
             )
             self._arrival_draws = None
         else:
-            depth = self.kernel._depth
-            if arrivals_have_state:
-                self._arrival_draws = _StatefulArrivalDraws(
-                    stack,
-                    self.spec,
-                    self.rng.num_seeds,
-                    depth=depth,
-                    state_rng=(
-                        self.rng.free_stream("arrival-state")
-                        if arrival_state_rng
-                        else None
-                    ),
-                )
-            else:
-                self._arrival_draws = _BatchArrivalDraws(
-                    stack, self.spec, self.rng.num_seeds, depth=depth
-                )
+            self._arrival_draws = _ArrivalDraws(
+                stack,
+                self.spec,
+                self.rng.num_seeds,
+                depth=self.kernel._depth,
+                state_rng=(
+                    self.rng.free_stream("arrival-state")
+                    if arrival_state_rng
+                    else None
+                ),
+            )
         self._arrival_stream = (
             None if self.sync_rng else self.rng.free_stream("arrivals")
         )

@@ -19,14 +19,14 @@ invocation, as long as the specs agree on what the kernels hard-code:
   sweep Gilbert-Elliott burst lengths the way it sweeps arrival rates).
 
 Everything per-link that used to be an ``(N,)`` vector — reliabilities,
-requirements — is exposed here as an ``(R, N)`` matrix; arrival draws come
-from :meth:`SpecStack.sample_arrival_block`, which groups rows by identical
-arrival process so one vectorized draw covers every row using that process.
+requirements — is exposed here as an ``(R, N)`` matrix.  Arrival draws
+group rows by identical arrival process, so one vectorized draw covers
+every row using that process (``repro.sim.batch_sim._ArrivalDraws``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -171,43 +171,3 @@ class SpecStack:
             else spec.arrivals.supports_batch_sampling
             for spec in self._specs
         )
-
-    # ------------------------------------------------------------------
-    def _arrival_groups(self) -> List[Tuple[NetworkSpec, List[int]]]:
-        """Rows grouped by identical arrival process (order-preserving).
-
-        Computed once and cached: the stack is immutable, and the
-        pairwise equality scan is quadratic in distinct processes — too
-        slow to repeat on every chunk refill of a long run.
-        """
-        cached = getattr(self, "_arrival_groups_cache", None)
-        if cached is None:
-            groups: List[Tuple[NetworkSpec, List[int]]] = []
-            for i, spec in enumerate(self._specs):
-                for rep, rows in groups:
-                    if spec.arrivals == rep.arrivals:
-                        rows.append(i)
-                        break
-                else:
-                    groups.append((spec, [i]))
-            cached = self._arrival_groups_cache = groups
-        return cached
-
-    def sample_arrival_block(
-        self, rng: np.random.Generator, depth: int
-    ) -> np.ndarray:
-        """Draw ``depth`` intervals of arrivals for every row at once.
-
-        Returns a ``(depth, R, N)`` int64 array.  Rows sharing one arrival
-        process are drawn in a single ``sample_batch`` call (i.i.d. across
-        intervals and rows, so a flat oversized draw has the right joint
-        distribution); a sweep with ``V`` distinct parameter values costs
-        ``V`` generator calls per block instead of ``R``.
-        """
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        out = np.empty((depth, self.num_rows, self._n), dtype=np.int64)
-        for rep, rows in self._arrival_groups():
-            flat = rep.arrivals.sample_batch(rng, depth * len(rows))
-            out[:, rows] = flat.reshape(depth, len(rows), self._n)
-        return out

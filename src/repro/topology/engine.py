@@ -46,7 +46,7 @@ from ..sim.batch_kernels import (
     _ChunkedIntegers,
     _ChunkedUniforms,
 )
-from ..sim.batch_sim import BatchIntervalSimulator, _BatchArrivalDraws
+from ..sim.batch_sim import BatchIntervalSimulator, _ArrivalDraws
 from ..sim.rng import BatchRngBundle, normalize_rng_mode
 from ..sim.spec_stack import SpecStack
 from .boundary import BoundaryMasker
@@ -384,7 +384,7 @@ class TopologySimulator:
             )
         self.sim._arrival_draws = _CellwiseBlocks(
             [
-                _BatchArrivalDraws(None, spec_c, S, depth=depth)
+                _ArrivalDraws(None, spec_c, S, depth=depth)
                 for spec_c in cell_specs
             ],
             streams("arrivals"),

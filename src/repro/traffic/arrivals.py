@@ -55,6 +55,17 @@ __all__ = [
     "arrivals_from_spec",
 ]
 
+#: Elements per step of an in-place :meth:`ArrivalProcess.fill_batch`:
+#: enough to amortize the Generator call overhead, small enough that a
+#: step's temporaries stay cache-resident.  Changes no values.
+FILL_CHUNK = 1 << 16
+
+
+def _fill_chunks(out: np.ndarray) -> list:
+    """Leading-axis slices of ``out``, about :data:`FILL_CHUNK` elements each."""
+    step = max(1, FILL_CHUNK // out[0].size)
+    return [slice(lo, lo + step) for lo in range(0, len(out), step)]
+
 
 class ArrivalStateRows(ABC):
     """Vectorized arrival state for a stack of replication rows.
@@ -205,23 +216,57 @@ class ArrivalProcess(ABC):
     def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
         """Draw one interval's arrivals for ``num_seeds`` replications.
 
-        Returns an ``(S, N)`` integer array of independent draws.  The
-        generic implementation stacks ``S`` scalar draws; stateless
-        processes override it with a single vectorized draw.  Either way
-        the stacked result goes through :meth:`_check_batch`, so a
-        subclass whose ``sample`` strays outside ``[0, max_per_link]``
-        (or the ``(N,)`` shape) fails loudly here too.
+        Returns a fresh ``(S, N)`` int64 array of independent draws:
+        :meth:`fill_batch` over a new array.
         """
         if num_seeds < 1:
             raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
+        return self.fill_batch(
+            rng, np.empty((num_seeds, self.num_links), dtype=np.int64)
+        )
+
+    def fill_batch(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` in place with independent replications; return it.
+
+        ``out`` is a caller-owned ``(..., N)`` int64 array or view (it
+        need not be contiguous).  Its rows, in C order of the leading
+        axes, receive exactly the values of one
+        ``sample_batch(rng, rows)`` call: each family draws in *phases*
+        (e.g. every burst-start uniform, then every burst size), each
+        phase over leading-axis chunks of about :data:`FILL_CHUNK`
+        elements.  Generator draws are sequential across calls, so the
+        chunks concatenate to the one whole draw while their
+        temporaries stay chunk-sized.  Every chunk is range-checked
+        against ``[0, max_per_link]``.
+        """
         if not self.supports_batch_sampling:
             raise TypeError(
                 f"{type(self).__name__} is stateful across intervals and "
                 "cannot produce independent batched replications"
             )
-        return self._check_batch(
-            np.stack([self.sample(rng) for _ in range(num_seeds)]), num_seeds
-        )
+        n = self.num_links
+        if out.dtype != np.int64 or out.ndim < 2 or out.shape[-1] != n:
+            raise ValueError(
+                f"fill_batch needs a (..., {n}) int64 array, "
+                f"got {out.dtype} {out.shape}"
+            )
+        self._fill(rng, out)
+        return out
+
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Family sampler behind :meth:`fill_batch`.
+
+        The generic version stacks one :meth:`sample` per row; stateless
+        families override it with vectorized phases.
+        """
+        for index in np.ndindex(out.shape[:-1]):
+            row = np.asarray(self.sample(rng))
+            if row.shape != (self.num_links,):
+                raise AssertionError(
+                    f"arrival vector shape {row.shape} != ({self.num_links},)"
+                )
+            out[index] = row
+        self._check_range(out)
 
     def _check(self, arrivals: np.ndarray) -> np.ndarray:
         if arrivals.shape != (self.num_links,):
@@ -234,17 +279,11 @@ class ArrivalProcess(ABC):
             )
         return arrivals
 
-    def _check_batch(self, arrivals: np.ndarray, num_seeds: int) -> np.ndarray:
-        if arrivals.shape != (num_seeds, self.num_links):
-            raise AssertionError(
-                f"batch arrival shape {arrivals.shape} != "
-                f"({num_seeds}, {self.num_links})"
-            )
-        if np.any(arrivals < 0) or np.any(arrivals > self.max_per_link):
+    def _check_range(self, arrivals: np.ndarray) -> None:
+        if arrivals.min() < 0 or arrivals.max() > self.max_per_link:
             raise AssertionError(
                 f"batch arrivals outside [0, {self.max_per_link}]"
             )
-        return arrivals
 
 
 @dataclass(frozen=True)
@@ -280,9 +319,12 @@ class BernoulliArrivals(ArrivalProcess):
         draws = rng.random(self.num_links) < np.asarray(self.rates)
         return self._check(draws.astype(np.int64))
 
-    def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
-        draws = rng.random((num_seeds, self.num_links)) < np.asarray(self.rates)
-        return self._check_batch(draws.astype(np.int64), num_seeds)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rates = np.asarray(self.rates)
+        for rows in _fill_chunks(out):
+            piece = out[rows]
+            np.less(rng.random(piece.shape), rates, out=piece)
+            self._check_range(piece)
 
 
 @dataclass(frozen=True)
@@ -327,11 +369,18 @@ class BurstyVideoArrivals(ArrivalProcess):
         bursts = rng.integers(1, self.burst_max + 1, size=self.num_links)
         return self._check(np.where(active, bursts, 0).astype(np.int64))
 
-    def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
-        shape = (num_seeds, self.num_links)
-        active = rng.random(shape) < np.asarray(self.alphas)
-        bursts = rng.integers(1, self.burst_max + 1, size=shape)
-        return self._check_batch(np.where(active, bursts, 0).astype(np.int64), num_seeds)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # Phase 1 (every uniform) leaves the 0/1 activity in ``out``;
+        # phase 2 (every burst size) scales it: active * burst equals
+        # ``where(active, burst, 0)`` since bursts are >= 1.
+        alphas = np.asarray(self.alphas)
+        chunks = _fill_chunks(out)
+        for rows in chunks:
+            np.less(rng.random(out[rows].shape), alphas, out=out[rows])
+        for rows in chunks:
+            piece = out[rows]
+            piece *= rng.integers(1, self.burst_max + 1, size=piece.shape)
+            self._check_range(piece)
 
 
 @dataclass(frozen=True)
@@ -371,9 +420,9 @@ class ConstantArrivals(ArrivalProcess):
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self._check(np.asarray(self.counts, dtype=np.int64))
 
-    def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
-        row = np.asarray(self.counts, dtype=np.int64)
-        return self._check_batch(np.tile(row, (num_seeds, 1)), num_seeds)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        out[...] = self.counts
+        self._check_range(out)
 
 
 @dataclass(frozen=True)
@@ -421,10 +470,12 @@ class TruncatedPoissonArrivals(ArrivalProcess):
         raw = rng.poisson(np.asarray(self.poisson_rates))
         return self._check(np.minimum(raw, self.cap).astype(np.int64))
 
-    def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         rates = np.asarray(self.poisson_rates)
-        raw = rng.poisson(rates, size=(num_seeds, self.num_links))
-        return self._check_batch(np.minimum(raw, self.cap).astype(np.int64), num_seeds)
+        for rows in _fill_chunks(out):
+            piece = out[rows]
+            np.minimum(rng.poisson(rates, size=piece.shape), self.cap, out=piece)
+            self._check_range(piece)
 
 
 @dataclass(frozen=True)
@@ -469,13 +520,14 @@ class CorrelatedBurstArrivals(ArrivalProcess):
         bursts = rng.integers(1, self.burst_max + 1, size=self.num_links_)
         return self._check(bursts.astype(np.int64))
 
-    def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
-        events = rng.random(num_seeds) < self.event_prob
-        bursts = rng.integers(
-            1, self.burst_max + 1, size=(num_seeds, self.num_links_)
-        )
-        out = np.where(events[:, None], bursts, 0).astype(np.int64)
-        return self._check_batch(out, num_seeds)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # Phase 1: one network-wide event per row; phase 2: burst sizes.
+        events = rng.random(out.shape[:-1]) < self.event_prob
+        for rows in _fill_chunks(out):
+            piece = out[rows]
+            bursts = rng.integers(1, self.burst_max + 1, size=piece.shape)
+            np.multiply(bursts, events[rows][..., None], out=piece)
+            self._check_range(piece)
 
 
 #: Start-state choices for :class:`MarkovModulatedArrivals`.

@@ -143,8 +143,9 @@ class TestDrawBufferAllocRegression:
 
     Refill buffers are allocated once per chunked-draw stream on its
     first chunk; every later refill writes into the cached buffer with
-    ``Generator.random(out=...)``.  A regression to per-refill
-    allocation shows up as allocs growing with the interval count.
+    ``Generator.random(out=...)`` (arrival blocks: ``fill_batch``).  A
+    regression to per-refill allocation shows up as allocs growing with
+    the interval count.
     """
 
     def _allocs(self, num_intervals, stage):
@@ -167,7 +168,12 @@ class TestDrawBufferAllocRegression:
         return stat.allocs, stat.calls
 
     @pytest.mark.parametrize(
-        "stage", ["draws.uniform_refill", "draws.channel_refill"]
+        "stage",
+        [
+            "draws.uniform_refill",
+            "draws.channel_refill",
+            "draws.arrival_refill",
+        ],
     )
     def test_refill_allocs_do_not_grow_with_intervals(self, stage):
         # 80 intervals -> one 256-deep chunk; 600 -> three.  Calls must

@@ -24,7 +24,7 @@ from repro import (
     run_simulation,
 )
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim.batch_sim import BatchIntervalSimulator
+from repro.sim.batch_sim import BatchIntervalSimulator, _ArrivalDraws
 from repro.sim.spec_stack import SpecStack
 
 
@@ -97,9 +97,17 @@ class TestProperties:
 
 
 class TestArrivalSampling:
+    """The batch engine's arrival blocks over a stack (``_ArrivalDraws``)."""
+
+    @staticmethod
+    def _block(stack, seed, depth):
+        draws = _ArrivalDraws(stack, stack.specs[0], stack.num_rows, depth=depth)
+        rng = np.random.default_rng(seed)
+        return np.stack([draws.next(rng) for _ in range(depth)])
+
     def test_block_shape_and_range(self):
         stack = SpecStack([video_symmetric_spec(0.5, num_links=4)] * 3)
-        block = stack.sample_arrival_block(np.random.default_rng(0), 16)
+        block = self._block(stack, 0, 16)
         assert block.shape == (16, 3, 4)
         assert block.dtype == np.int64
         assert block.min() >= 0
@@ -111,7 +119,7 @@ class TestArrivalSampling:
         a = video_symmetric_spec(0.45, num_links=4)
         b = video_symmetric_spec(0.65, num_links=4)
         stack = SpecStack([a, b, a])
-        block = stack.sample_arrival_block(np.random.default_rng(7), 5)
+        block = self._block(stack, 7, 5)
         rng = np.random.default_rng(7)
         flat_a = a.arrivals.sample_batch(rng, 10).reshape(5, 2, 4)
         flat_b = b.arrivals.sample_batch(rng, 5).reshape(5, 1, 4)
@@ -121,7 +129,7 @@ class TestArrivalSampling:
     def test_bad_depth_rejected(self):
         stack = SpecStack.broadcast(bernoulli_spec(0.5), 2)
         with pytest.raises(ValueError, match="depth"):
-            stack.sample_arrival_block(np.random.default_rng(0), 0)
+            _ArrivalDraws(stack, stack.specs[0], 2, depth=0)
 
 
 class TestHeterogeneousSimulation:
