@@ -1,20 +1,20 @@
-"""Kernel backends (numpy vs jit) on the Fig. 3 grid under ``rng="free"``.
+"""Kernel backends (numpy vs c) on the Fig. 3 grid under ``rng="free"``.
 
 Every kernel runs on preallocated workspace buffers with ``out=`` ufunc
 passes, closed-form single-pair priority updates, and matmul prefix
-sums; ``backend="jit"`` additionally compiles the two sequential inner
-loops with Numba (``prange`` over batch rows) where it is installed.
-Both backends consume identical free RNG streams and are bit-identical
-in output (asserted here before timing, and in
-``tests/integration/test_kernel_backends.py``).
+sums; ``backend="c"`` runs the sequential pieces — ordered service and
+the DP interval timeline — as per-row loops compiled with the system C
+compiler (:mod:`repro.sim.ckernels`).  Both backends consume identical
+free RNG streams and are bit-identical in output (asserted here before
+timing, and in ``tests/integration/test_kernel_backends.py``).
 
 This benchmark times each backend on the paper's Fig. 3 sweep (16 alpha
 values x 20 seeds x DB-DP + LDF) and records a perf-counter
-decomposition of each backend's run so ``tools/check_jit_wins.py`` can
-check the compiled loops stage by stage.  When numba is not importable
-the jit leg is skipped with a loud warning and the report carries
-``jit_skipped: true`` so a dashboard never mistakes a numpy fallback for
-a compiled measurement.  Results land in ``BENCH_kernels.json`` (path
+decomposition of each backend's run so ``tools/check_c_wins.py`` can
+check the compiled loops stage by stage.  When no C compiler works the
+c leg is skipped with a loud warning and the report carries
+``c_skipped: true`` so a dashboard never mistakes a numpy fallback for a
+compiled measurement.  Results land in ``BENCH_kernels.json`` (path
 overridable via ``REPRO_BENCH_KERNELS_JSON``); each run appends its
 headline numbers to the report's ``trajectory`` list.
 
@@ -35,7 +35,7 @@ from pathlib import Path
 from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
-from repro.sim import jit_kernels, perf
+from repro.sim import ckernels, perf
 
 from _bench_utils import bench_intervals
 
@@ -91,22 +91,18 @@ def test_kernel_backends_hotloop():
     seeds = tuple(range(NUM_SEEDS))
 
     backends = ["numpy"]
-    # The JIT leg is only a distinct measurement when numba is actually
-    # installed; forced-Python mode exists for semantics tests and would
-    # just time the interpreter.
-    jit_compiled = jit_kernels.HAS_NUMBA and not jit_kernels.force_python
-    jit_skipped = not jit_compiled
-    if jit_compiled:
-        backends.append("jit")
-    else:
+    c_error = ckernels.load_error()
+    c_skipped = c_error is not None
+    if c_skipped:
         warnings.warn(
-            "jit backend requested by the benchmark but numba is not "
-            "importable: the jit leg is SKIPPED and every headline number "
-            "below is a numpy-backend measurement (the report carries "
-            "jit_skipped: true)",
+            f"the c backend cannot build ({c_error}): the c leg is SKIPPED "
+            "and every headline number below is a numpy-backend "
+            "measurement (the report carries c_skipped: true)",
             RuntimeWarning,
             stacklevel=1,
         )
+    else:
+        backends.append("c")
 
     # Bit-identity first (also warms every code path before timing).
     results = {b: _run(b, intervals, seeds) for b in backends}
@@ -125,7 +121,6 @@ def test_kernel_backends_hotloop():
                 best.get(backend, float("inf")), time.perf_counter() - t0
             )
 
-    stages = _stage_run("numpy", intervals, seeds)
     report = {
         "workload": {
             "sweep": "video_symmetric_spec(alpha, delivery_ratio=0.9)",
@@ -135,36 +130,23 @@ def test_kernel_backends_hotloop():
             "num_seeds": NUM_SEEDS,
         },
         "bit_identical_backends": backends,
-        "numba_available": jit_kernels.HAS_NUMBA,
-        "jit_skipped": jit_skipped,
+        "c_available": not c_skipped,
+        "c_skipped": c_skipped,
         "config": {"rng": "free"},
         "best_seconds": {k: round(v, 3) for k, v in best.items()},
-        "numpy_stage_seconds": {
+    }
+    if not c_skipped:
+        report["speedup_c_vs_numpy"] = round(best["numpy"] / best["c"], 2)
+    for backend in backends:
+        stages = _stage_run(backend, intervals, seeds)
+        report[f"{backend}_stage_seconds"] = {
             name: round(stat["seconds"], 4) for name, stat in stages.items()
-        },
-        "numpy_stage_allocs": {
+        }
+        report[f"{backend}_stage_allocs"] = {
             name: int(stat["allocs"])
             for name, stat in stages.items()
             if stat["allocs"]
-        },
-    }
-    if jit_compiled:
-        report["speedup_jit_vs_numpy"] = round(
-            best["numpy"] / best["jit"], 2
-        )
-        # The first-call compilation cost is amortized by the
-        # warm-compile cache at kernel bind; it is reported separately
-        # so the steady-state stage timings stay clean.
-        jit_kernels._warmed.clear()
-        jit_stages = _stage_run("jit", intervals, seeds)
-        report["jit_stage_seconds"] = {
-            name: round(stat["seconds"], 4)
-            for name, stat in jit_stages.items()
-            if name != "jit.warmup"
         }
-        report["jit_warmup_seconds"] = round(
-            jit_stages.get("jit.warmup", {}).get("seconds", 0.0), 4
-        )
 
     path = _output_path()
     trajectory = _prior_trajectory(path)
@@ -173,7 +155,7 @@ def test_kernel_backends_hotloop():
             "num_intervals": intervals,
             "num_seeds": NUM_SEEDS,
             "rng": "free",
-            "jit_skipped": jit_skipped,
+            "c_skipped": c_skipped,
             **{f"{b}_seconds": round(t, 3) for b, t in best.items()},
         }
     )

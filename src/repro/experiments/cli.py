@@ -116,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["numpy", "jit"],
+        choices=["numpy", "c"],
         default=None,
-        help="batch kernel backend (default: jit when numba is "
-        "importable, else numpy; both are bit-identical)",
+        help="batch kernel backend (default: c when a C compiler "
+        "works, else numpy; both are bit-identical)",
     )
     parser.add_argument(
         "--cells",

@@ -18,7 +18,11 @@ The orchestration layer survives the faults a long sweep actually meets:
   :class:`~repro.experiments.faults.SweepFailureReport`;
 * a worker **death** (segfault, OOM kill, ``os._exit``) breaks the whole
   pool — the orchestrator respawns it and resubmits only the unfinished
-  cells, charging an attempt to the futures the broken pool invalidated;
+  cells.  Each worker reports its pid when it starts a cell, so only the
+  cell whose worker died is charged an attempt; the pool-mates the break
+  interrupted are requeued with their attempt refunded.  When that charge
+  fails the sweep (``strict``), the interrupted pool-mates are still run
+  to completion and checkpointed before the error is raised;
 * a worker **hang** is bounded by ``cell_timeout``: the cell counts as
   failed, and the pool is respawned (terminating the hung process) so its
   slot is reclaimed — interrupted innocent cells are resubmitted with
@@ -35,11 +39,15 @@ The orchestration layer survives the faults a long sweep actually meets:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import registry
@@ -64,6 +72,33 @@ _TIMEOUT_POLL_S = 0.05
 
 #: Seconds to wait for a terminated worker process to exit.
 _JOIN_TIMEOUT_S = 5.0
+
+#: Worker side of the start channel, set by the pool initializer.
+_started = None
+
+
+def _init_worker(started) -> None:
+    global _started
+    _started = started
+
+
+def _tracked(token: int, fn: Callable, *args):
+    """Report ``(token, pid)`` on the start channel, then run the task.
+
+    The report is written before the task runs, so when a worker dies
+    the orchestrator knows which task was on it.
+    """
+    _started.put((token, os.getpid()))
+    return fn(*args)
+
+
+def _crashed(future: Future) -> bool:
+    """Whether a future resolved because its pool broke."""
+    return (
+        future.done()
+        and not future.cancelled()
+        and isinstance(future.exception(timeout=0), BrokenProcessPool)
+    )
 
 
 @dataclass(frozen=True)
@@ -112,10 +147,11 @@ class _CellState:
 class _Orchestrator:
     """Drives one pool generation after another until every cell settles.
 
-    The loop submits eligible cells, waits for completions, harvests
-    them (success → outcome + cache checkpoint; failure → retry or
-    permanent failure), and respawns the pool whenever it breaks or a
-    running cell exceeds its timeout.
+    The loop submits eligible cells — never more than there are
+    workers, so every in-flight cell owns a worker — waits for
+    completions, harvests them (success → outcome + cache checkpoint;
+    failure → retry or permanent failure), and respawns the pool
+    whenever it breaks or a running cell exceeds its timeout.
 
     The work unit is pluggable: subclasses may override :attr:`task_fn`
     (a picklable module-level callable invoked as
@@ -155,6 +191,16 @@ class _Orchestrator:
         #: first time each inflight future was observed running (None =
         #: still queued inside the pool); the timeout clock starts here.
         self.started: Dict[Future, Optional[float]] = {}
+        self.workers = max_workers or os.cpu_count() or 1
+        self._tokens = count()
+        #: submission token of each inflight future, and the pid of the
+        #: worker each token started on (reported through the channel)
+        self.token: Dict[Future, int] = {}
+        self.worker_pid: Dict[int, int] = {}
+        self._channel = None
+        #: a strict failure waiting for the interrupted pool-mates of the
+        #: break that caused it to finish (see _respawn)
+        self._abort: Optional[SweepCellError] = None
 
     # -- main loop -----------------------------------------------------
     def run(self) -> None:
@@ -166,101 +212,185 @@ class _Orchestrator:
                     respawn = self._poll()
                 except BrokenProcessPool:
                     # submit() on a broken pool; inflight futures carry
-                    # the same exception and are harvested on respawn.
-                    respawn = True
+                    # the same exception and are settled on respawn.
+                    respawn = "broken"
                 if respawn:
-                    pool = self._respawn(pool)
-        except BaseException:
+                    pool = self._respawn(pool, broken=respawn == "broken")
+        except BaseException as exc:
             self._shutdown(pool)
+            if isinstance(exc, SweepCellError) and self._abort is not None:
+                raise self._abort from None
             raise
+        finally:
+            self._channel.close()
         pool.shutdown(wait=True)
+        if self._abort is not None:
+            raise self._abort
 
     # -- pool lifecycle ------------------------------------------------
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+        # A fresh start channel per pool: a worker killed mid-report
+        # can leave only its own generation's channel unusable.
+        if self._channel is not None:
+            self._channel.close()
+        self._channel = multiprocessing.SimpleQueue()
+        self.worker_pid.clear()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_worker,
+            initargs=(self._channel,),
+        )
 
-    def _shutdown(self, pool: ProcessPoolExecutor) -> None:
+    def _shutdown(self, pool: ProcessPoolExecutor) -> Dict[int, object]:
         """Abandon a pool without blocking on cells we no longer want.
 
         ``cancel_futures=True`` drops every queued work item;
         terminating the worker processes reclaims hung or mid-cell
         workers (a plain ``shutdown(wait=True)`` would block on them
-        forever).
+        forever).  Returns the pool's worker processes by pid, all
+        exited.
         """
         try:
-            procs = list((pool._processes or {}).values())
+            procs = dict(pool._processes or {})
         except AttributeError:  # pragma: no cover - implementation detail
-            procs = []
+            procs = {}
         pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
+        for proc in procs.values():
             if proc.is_alive():
                 proc.terminate()
-        for proc in procs:
+        for proc in procs.values():
             proc.join(timeout=_JOIN_TIMEOUT_S)
+        return procs
 
-    def _respawn(self, pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
+    def _read_channel(self) -> None:
+        """Record every start report the workers have written so far."""
+        channel = self._channel
+        while not channel.empty():
+            token, pid = channel.get()
+            self.worker_pid[token] = pid
+
+    def _respawn(
+        self, pool: ProcessPoolExecutor, broken: bool
+    ) -> ProcessPoolExecutor:
         """Replace a broken or hung pool; keep finished work, requeue the rest.
 
-        Futures that already resolved are harvested normally (results
-        are kept; a BrokenProcessPool exception charges the cell an
-        attempt — the culprit cannot be told apart from its pool-mates,
-        so each burns one of its bounded retries).  Futures still
-        pending are interrupted through no fault of their own: they are
-        requeued with the attempt refunded.
+        The old pool's workers are stopped first, so every exit code is
+        final.  Futures that finished on their own are harvested
+        normally.  Every other in-flight cell was interrupted; on a
+        break, the ones whose worker died on its own (any exit but the
+        SIGTERM of the pool's teardown) are charged an attempt with the
+        pool's ``BrokenProcessPool``.  If no such worker ran a cell — it
+        was killed by a SIGTERM from outside, or died before reporting —
+        every interrupted cell is charged, so a pool that keeps breaking
+        still runs out of retries.  The rest are requeued with the
+        attempt refunded.  A strict failure raised by the charge waits
+        until those pool-mates have run: the sweep then stops without
+        starting anything else.
         """
-        done = [f for f in self.inflight if f.done()]
-        for future, state in [
-            (f, self.inflight[f]) for f in self.inflight if not f.done()
-        ]:
-            self.inflight.pop(future)
-            self.started.pop(future, None)
-            future.cancel()
+        procs = self._shutdown(pool)
+        self._read_channel()
+        died = set()
+        for pid, proc in procs.items():
+            code = proc.exitcode
+            for _ in range(50):  # another thread may still be reaping it
+                if code is not None:
+                    break
+                time.sleep(0.01)
+                code = proc.exitcode
+            if code not in (None, 0, -signal.SIGTERM):
+                died.add(pid)
+        finished, interrupted = [], []
+        for future in self.inflight:
+            if future.done() and not future.cancelled() and not _crashed(future):
+                finished.append(future)
+            else:
+                interrupted.append(future)
+        charged: List[Future] = []
+        if broken:
+            charged = [
+                f for f in interrupted
+                if self.worker_pid.get(self.token[f]) in died
+            ]
+            if not charged:
+                charged = interrupted
+        innocents: List[_CellState] = []
+        for future in interrupted:
+            if future in charged:
+                continue
+            state = self._forget(future)
             state.attempts = max(0, state.attempts - 1)
             state.not_before = 0.0
+            innocents.append(state)
             self.queue.append(state)
         # Successes first, as in _poll: checkpoint finished work before a
         # strict failure can abort the sweep.
-        for future in sorted(done, key=_harvest_failures_last):
+        for future in sorted(finished, key=_harvest_failures_last):
             self._harvest(future)
-        self._shutdown(pool)
+        for future in charged:
+            state = self._forget(future)
+            exc = future.exception(timeout=0) if _crashed(future) else None
+            try:
+                self._record_failure(
+                    state,
+                    exc or BrokenProcessPool(
+                        "a worker process died while running this cell"
+                    ),
+                )
+            except SweepCellError as err:
+                if not innocents:
+                    raise
+                if self._abort is None:
+                    self._abort = err
+                self.queue = innocents
         return self._new_pool()
 
     # -- submission ----------------------------------------------------
     def _submit_ready(self, pool: ProcessPoolExecutor) -> None:
         now = time.monotonic()
         for state in [s for s in self.queue if s.not_before <= now]:
+            if len(self.inflight) >= self.workers:
+                break
+            token = next(self._tokens)
             future = pool.submit(
-                self.task_fn, state.cell, *self.submit_args, state.attempts
+                _tracked, token, self.task_fn, state.cell,
+                *self.submit_args, state.attempts,
             )
             self.queue.remove(state)
             state.attempts += 1
             self.inflight[future] = state
             self.started[future] = None
+            self.token[future] = token
 
     # -- waiting -------------------------------------------------------
-    def _poll(self) -> bool:
+    def _poll(self) -> Optional[str]:
         """Wait for progress; harvest completions; expire timeouts.
 
-        Returns True when the pool must be respawned (a running cell
-        timed out and its worker has to be reclaimed).
+        Returns why the pool must be respawned: ``"broken"`` (a worker
+        died; the cells it interrupted are settled by :meth:`_respawn`),
+        ``"timeout"`` (a running cell timed out and its worker has to be
+        reclaimed), or ``None``.
         """
         if not self.inflight:
             # Every remaining cell is backing off; sleep to its retry time.
             delay = min(s.not_before for s in self.queue) - time.monotonic()
             if delay > 0:
                 time.sleep(min(delay, 1.0))
-            return False
+            return None
         done, _ = wait(
             set(self.inflight),
             timeout=self._wait_timeout(),
             return_when=FIRST_COMPLETED,
         )
+        self._read_channel()
         # Successes first: every completed cell is checkpointed before a
         # strict failure in the same batch aborts the sweep, so a resume
         # restarts from all finished work.
         for future in sorted(done, key=_harvest_failures_last):
-            self._harvest(future)
-        return self._expire_timeouts()
+            if not _crashed(future):
+                self._harvest(future)
+        if any(_crashed(f) for f in done):
+            return "broken"
+        return "timeout" if self._expire_timeouts() else None
 
     def _wait_timeout(self) -> Optional[float]:
         """How long ``wait`` may block before bookkeeping must run."""
@@ -295,8 +425,7 @@ class _Orchestrator:
             and now - started >= cell_timeout
         ]
         for future in expired:
-            state = self.inflight.pop(future)
-            self.started.pop(future, None)
+            state = self._forget(future)
             future.cancel()  # no-op for a running future; the respawn reclaims it
             self._record_failure(
                 state,
@@ -308,9 +437,14 @@ class _Orchestrator:
         return bool(expired)
 
     # -- outcome recording ---------------------------------------------
-    def _harvest(self, future: Future) -> None:
-        state = self.inflight.pop(future, None)
+    def _forget(self, future: Future) -> Optional[_CellState]:
+        """Drop a future's bookkeeping; returns its cell state."""
         self.started.pop(future, None)
+        self.worker_pid.pop(self.token.pop(future, None), None)
+        return self.inflight.pop(future, None)
+
+    def _harvest(self, future: Future) -> None:
+        state = self._forget(future)
         if state is None:
             return
         try:

@@ -44,8 +44,8 @@ A)`` rank block instead — slot ``j`` belongs to a row's ``j``-th
 backlogged link in this interval's service order — and transform only
 those rows, each with its own link's scale.  Every consumer reads
 through the draws' accessors: the incremental DP path takes the rank
-rows of its serve set, the dense paths (and the jit loop bodies) a link
-plane built from them in which the starved links read ``1..A``.
+rows of its serve set, the dense paths (and the compiled row walks) a
+link plane built from them in which the starved links read ``1..A``.
 
 Kernels also accept **per-row spec parameters** (the grid-fused engine):
 ``bind`` takes either one shared spec or a
@@ -87,7 +87,7 @@ from ..core.requirements import NetworkSpec
 from ..core.round_robin import RoundRobinPolicy
 from ..core.static_priority import StaticPriorityPolicy
 from ..phy.channel import ChannelStateRows
-from . import jit_kernels, perf
+from . import perf
 from .rng import BatchRngBundle, normalize_rng_mode
 from .spec_stack import SpecStack
 
@@ -111,57 +111,49 @@ DRAW_CHUNK = 256
 
 #: Interval-resolution backends a kernel can bind with.
 #:
-#: * ``"numpy"`` — the preallocated-workspace NumPy path (the default on
-#:   hosts without numba): all per-interval scratch lives in buffers
-#:   allocated once at bind time and every hot-loop step writes in place
-#:   via ``out=`` ufuncs.
-#: * ``"jit"`` — the workspace path with the two irreducibly sequential
-#:   stages (ordered service, DP interval timeline) compiled by Numba
-#:   (:mod:`repro.sim.jit_kernels`); the default whenever numba imports,
-#:   warm-compiled at bind so first-interval timings exclude compilation,
-#:   with ``prange`` row-parallelism on large stacks.  An explicit
-#:   ``backend="jit"`` falls back to ``"numpy"`` with a
-#:   :class:`RuntimeWarning` when numba is not importable.
+#: * ``"numpy"`` — the preallocated-workspace NumPy path: all
+#:   per-interval scratch lives in buffers allocated once at bind time
+#:   and every hot-loop step writes in place via ``out=`` ufuncs.  The
+#:   sequential pieces (ordered service, the DP interval timeline) are
+#:   closed forms plus an exact per-row repair.
+#: * ``"c"`` — the same workspace path with those sequential pieces run
+#:   as compiled per-row loops (:mod:`repro.sim.ckernels`), built with
+#:   the system C compiler at the first bind that needs them.
 #:
 #: Both produce bit-identical outcomes for the same
 #: :class:`~repro.sim.rng.BatchRngBundle` (proven in
 #: ``tests/integration/test_kernel_backends.py``): they consume the same
-#: generator values in the same order, and every derived quantity is a
-#: small exact integer carried in float32/float64 far below the mantissa
-#: limit, which makes the arithmetic independent of summation order and
-#: of whether a stage runs vectorized or sequentially.
-KERNEL_BACKENDS = ("numpy", "jit")
+#: generator values in the same order, every count is a small exact
+#: integer, and the C loops evaluate every timeline float with numpy's
+#: operations in numpy's order.
+KERNEL_BACKENDS = ("numpy", "c")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize a backend request to one of :data:`KERNEL_BACKENDS`.
 
     ``None`` defers to ``REPRO_KERNEL_BACKEND`` if set; otherwise the
-    default is ``"jit"`` whenever numba imported compiled (so the fast
-    path is the default on capable hosts) and ``"numpy"`` otherwise.
-    An *explicit* ``"jit"`` request degrades to ``"numpy"`` with a
-    :class:`RuntimeWarning` when numba is unavailable (and not forced
-    into pure-Python test mode); the silent default never picks a jit
-    that would have to degrade.
+    default is ``"c"`` whenever the compiled library builds and loads,
+    and ``"numpy"`` otherwise, silently.  An *explicit* ``"c"`` request
+    on a host without a working C compiler degrades to ``"numpy"`` with
+    a :class:`RuntimeWarning` naming the reason.  Asking about ``"c"``
+    builds the library on first use, so call this at bind time only.
     """
+    from . import ckernels  # ctypes stays out of import time
+
     if backend is None:
         backend = os.environ.get("REPRO_KERNEL_BACKEND", "")
         if not backend:
-            backend = (
-                "jit"
-                if jit_kernels.HAS_NUMBA and not jit_kernels.force_python
-                else "numpy"
-            )
+            return "c" if ckernels.available() else "numpy"
     backend = str(backend).lower()
     if backend not in KERNEL_BACKENDS:
         raise ValueError(
             f"unknown kernel backend {backend!r}; choose from {KERNEL_BACKENDS}"
         )
-    if backend == "jit" and not jit_kernels.available():
+    if backend == "c" and not ckernels.available():
         warnings.warn(
-            "numba is not installed; kernel backend 'jit' falls back to "
-            "the workspace NumPy path (install numba or set "
-            "REPRO_JIT_FORCE_PY=1 to exercise the loop bodies in Python)",
+            f"{ckernels.load_error()}; kernel backend 'c' falls back to "
+            "the workspace NumPy path",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -755,7 +747,7 @@ class BatchPolicyKernel:
                     "or sync_rng=True"
                 )
         self._use_ws = not sync
-        self._use_jit = self._backend == "jit" and not sync
+        self._use_c = self._backend == "c" and not sync
         self._lite = bool(lite) and not sync
         self._depth = DRAW_CHUNK
         if sync or not chan0.has_state:
@@ -851,6 +843,13 @@ class BatchPolicyKernel:
         raise NotImplementedError
 
     # -- workspace plumbing shared by the concrete kernels -----------------
+    def _bind_c(self, entry: str, dtypes, per_call: dict, **fields):
+        """Bind one compiled row walk (:class:`repro.sim.ckernels.Call`)
+        to this kernel's workspace arrays and scalars."""
+        from . import ckernels  # ctypes stays out of import time
+
+        return ckernels.Call(entry, dtypes, per_call, **fields)
+
     def _alloc_common_ws(self) -> SimpleNamespace:
         """Buffers every workspace kernel needs: flat-index planes for the
         gather/scatter steps and the ordered-service solver's scratch.
@@ -1011,17 +1010,21 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             w = self._alloc_common_ws()
             S, n = self.num_seeds, self.spec.num_links
             w.caps_f = np.full((S, n), self._budget, dtype=w.workf)
-            w.att_posf = np.empty((S, n), dtype=np.float64)  # jit output
             w.rank_plane = np.tile(np.arange(1, n + 1, dtype=np.int64), (S, 1))
             w.prios = np.empty((S, n), dtype=np.int64)
             self._ws = w
-            if self._use_jit:
-                secs = jit_kernels.warm_compile(
-                    "serve_rows",
-                    np.int64, np.int64, w.workf, np.int64, np.float64,
+            if self._use_c:
+                self._c_serve = self._bind_c(
+                    "serve_rows", (w.workf,),
+                    dict(
+                        order=(np.int64, (S, n)),
+                        backlog=(np.int64, (S, n)),
+                        needed=(w.workf, (S, n, self._a_max)),
+                    ),
+                    S=S, N=n, A=self._a_max, cap=int(self._budget),
+                    air=self._data_air, delivered=w.delivered,
+                    att_pos=w.att_pos, busy=w.busy,
                 )
-                if secs and perf.counters.enabled:
-                    perf.counters.add("jit.warmup", secs)
 
     def _service_orders(
         self, k: int, positive_debts: np.ndarray
@@ -1050,29 +1053,19 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             # stream aligned with the other backends).
             w.att_pos.fill(0)
             w.delivered.fill(0)
-            att_pos = w.att_pos
+            w.busy.fill(0.0)
         else:
             needed = draws.link_block(block, order, arrivals)
-            if self._use_jit:
-                order = np.ascontiguousarray(order)
-                jit_kernels.serve_rows(
-                    order, arrivals, needed, int(self._budget),
-                    w.delivered, w.att_posf,
-                )
-                att_pos = w.att_posf
+            if self._use_c:
+                self._c_serve(order=order, backlog=arrivals, needed=needed)
             else:
                 np.add(order, w.row_off, out=w.oflat)
                 self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
-                att_pos = w.att_pos
-        if att_pos is w.att_pos:
-            np.matmul(att_pos, w.ones_wf, out=w.busyf)
-            np.multiply(w.busyf, self._data_air, out=w.busy)
-        else:  # jit path returns float64 attempt positions
-            np.sum(att_pos, axis=1, out=w.busy)
-            np.multiply(w.busy, self._data_air, out=w.busy)
+                np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
+                np.multiply(w.busyf, self._data_air, out=w.busy)
         if not lite:
             np.add(order, w.row_off, out=w.oflat)
-            w.attempts_f.ravel()[w.oflat.ravel()] = att_pos.ravel()
+            w.attempts_f.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
             w.prios.ravel()[w.oflat.ravel()] = w.rank_plane.ravel()
         if counters.enabled:
@@ -1330,7 +1323,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w = self._alloc_common_ws()
         S, n = self.num_seeds, self.spec.num_links
         w.caps_f = np.empty((S, n), dtype=w.workf)
-        w.att_posf = np.empty((S, n), dtype=np.float64)  # jit att output
         # Link/position-space integer and boolean scratch.
         w.tmpi = np.empty((S, n), dtype=np.int64)
         w.tmpi2 = np.empty((S, n), dtype=np.int64)
@@ -1372,7 +1364,6 @@ class BatchDPKernel(BatchPolicyKernel):
         # Per-row reductions.
         w.idle = np.empty(S, dtype=np.int64)
         w.ne = np.empty(S, dtype=np.int64)
-        w.att_tot = np.empty(S, dtype=np.int64)
         w.eus = np.empty(S, dtype=np.float64)
         w.ovh = np.empty(S, dtype=np.float64)
         # Pair-space scratch (contiguous halves: ``w.xi[:, :P]`` views are
@@ -1404,14 +1395,20 @@ class BatchDPKernel(BatchPolicyKernel):
         if perf.counters.enabled:
             perf.counters.alloc("kernel.dp.bind_workspace", 50)
         self._ws = w
-        if self._use_jit:
-            secs = jit_kernels.warm_compile(
-                "dp_timeline_rows",
-                np.int64, np.int64, np.bool_, np.int64, w.workf,
-                np.int64, np.float64, np.bool_, tlf, np.int64,
+        if self._use_c:
+            self._c_timeline = self._bind_c(
+                "timeline_rows", (w.workf, tlf),
+                dict(
+                    order=(np.int64, (S, n)),
+                    backlog=(np.int64, (S, n)),
+                    needed=(w.workf, (S, n, self._a_max)),
+                ),
+                S=S, N=n, A=self._a_max, exact=self._exact_div,
+                T=self._interval_us, air=self._data_air, slot=self._slot,
+                empty_air=self._empty_air, backoff=w.bpos, is_empty=w.iep,
+                delivered=w.delivered, att_pos=w.att_pos, tx=w.tx,
+                start=w.start, busy=w.busy, ovh=w.ovh,
             )
-            if secs and perf.counters.enabled:
-                perf.counters.add("jit.warmup", secs)
 
     def _alloc_dp_ws_inc(self) -> None:
         """Workspace for the sparse incremental DP path (see
@@ -1531,7 +1528,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w.ne = np.empty(S, dtype=np.int64)
         w.idle = np.empty(S, dtype=np.int64)
         w.tmpi_s = np.empty(S, dtype=np.int64)
-        w.att_tot_i = np.empty(S, dtype=np.int64)  # jit body output
         w.eus = np.empty(S, dtype=np.float64)
         w.busy = np.empty(S, dtype=np.float64)
         w.ovh = np.empty(S, dtype=np.float64)
@@ -1542,15 +1538,19 @@ class BatchDPKernel(BatchPolicyKernel):
         if perf.counters.enabled:
             perf.counters.alloc("kernel.dp.bind_workspace", 60)
         self._ws = w
-        if self._use_jit:
-            secs = jit_kernels.warm_compile(
-                "dp_incremental_rows",
-                np.int64, np.int64, np.bool_, np.bool_, np.bool_,
-                np.int64, np.int64, np.int64, workf, np.int64, np.int64,
-                np.int64, np.int64, np.int64, np.bool_, np.float64,
+        if self._use_c:
+            self._c_incremental = self._bind_c(
+                "incremental_rows", (workf,),
+                dict(backlog=(np.int64, (S, n))),
+                S=S, N=n, K=K, A=A, exact=self._exact_div,
+                track=not self._lite, T=self._interval_us,
+                air=self._data_air, slot=self._slot,
+                empty_air=self._empty_air, inv=w.inv, cand=w.cands,
+                swap=w.cc, wants_a=w.wa, wants_b=w.wb, bmin=w.bmin,
+                bmax=w.bmax, needed=w.needk2, delivered=w.delivered,
+                attempts=w.attempts_i, tx_a=w.txa, start_a=w.start_a,
+                busy=w.busy, ovh=w.ovh,
             )
-            if secs and perf.counters.enabled:
-                perf.counters.add("jit.warmup", secs)
 
     def _run_interval_inc(
         self,
@@ -1687,20 +1687,12 @@ class BatchDPKernel(BatchPolicyKernel):
         active = bool(arrivals.any())
         if active:
             self._channel_draws.served_rows(block, w.sel_flat, w.needk2)
-        if self._use_jit and not self._force_sequential:
+        if self._use_c and not self._force_sequential:
             # The compiled sweep walks each row's priority order, reading
-            # the i-th backlogged link's draws from rank row i, and stops
-            # at the first position past the candidate pair whose attempt
-            # ceiling is provably exhausted.
-            jit_kernels.dp_incremental_rows(
-                w.inv, w.cands[:, 0], w.cc[:, 0], w.wa, w.wb,
-                w.bmin[:, 0], w.bmax[:, 0],
-                arrivals, w.needk3,
-                float(T), float(air), float(slot), float(empty_air),
-                w.delivered, w.attempts_i, not lite, w.att_tot_i,
-                w.ne, w.idle, w.txa, w.start_a,
-            )
-            np.multiply(w.att_tot_i, air, out=w.busy)
+            # the i-th backlogged link's draws from rank row i, skipping
+            # to the pair once the ceiling below it is exhausted and
+            # stopping at the first exhausted ceiling past it.
+            self._c_incremental(backlog=arrivals)
         else:
             if active:
                 arrivals.ravel().take(w.sel_flat.ravel(), out=w.blk.ravel())
@@ -1775,14 +1767,18 @@ class BatchDPKernel(BatchPolicyKernel):
                 w.idle.fill(0)
             np.add(w.att_a, w.ua, out=w.att_b)
             # Candidate service starts under the all-empties-fit
-            # assumption, then the fit check (dense semantics verbatim).
-            np.multiply(w.att_a, air, out=w.start_a)
+            # assumption, then the fit check (dense semantics verbatim:
+            # start = att * air + dead in float64, dead = b * slot + e *
+            # empty with e = wa empties before position c).
+            np.copyto(w.start_a, w.att_a)
+            np.multiply(w.start_a, air, out=w.start_a)
             np.multiply(w.bmin[:, 0], slot, out=w.tmps)
             np.add(w.start_a, w.tmps, out=w.start_a)
-            np.multiply(w.att_b, air, out=w.start_b)
             np.multiply(w.bmax[:, 0], slot, out=w.tmps)
-            np.add(w.start_b, w.tmps, out=w.start_b)
-            np.multiply(w.wa, empty_air, out=w.tmps)
+            np.multiply(w.wa, empty_air, out=w.start_b)
+            np.add(w.tmps, w.start_b, out=w.tmps)
+            np.copyto(w.start_b, w.att_b)
+            np.multiply(w.start_b, air, out=w.start_b)
             np.add(w.start_b, w.tmps, out=w.start_b)
             if empty_air > 0:
                 np.less_equal(w.start_a, T - empty_air, out=w.fits_a)
@@ -1819,10 +1815,10 @@ class BatchDPKernel(BatchPolicyKernel):
             np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
             np.maximum(w.idle, w.tmpi_s, out=w.idle)
             np.multiply(w.att_tot_f, air, out=w.busy)
-        np.multiply(w.ne, empty_air, out=w.eus)
-        np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, slot, out=w.ovh)
-        np.add(w.ovh, w.eus, out=w.ovh)
+            np.multiply(w.ne, empty_air, out=w.eus)
+            np.add(w.busy, w.eus, out=w.busy)
+            np.multiply(w.idle, slot, out=w.ovh)
+            np.add(w.ovh, w.eus, out=w.ovh)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
             t0 = perf.clock()
@@ -1984,7 +1980,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 rank += 1
             elif (j == c - 1 and wa) or (j == c and wb):
                 if empty_air > 0:
-                    fits = start + empty_air <= T
+                    fits = start <= T - empty_air
                 else:
                     fits = start < T
                 if fits:
@@ -1998,7 +1994,9 @@ class BatchDPKernel(BatchPolicyKernel):
             # Positions past j all carry backoff >= j + 3 (the candidate
             # pair is behind us), so once that ceiling is exhausted no
             # later link can transmit and no claims remain — stop.
-            if j >= c and int((T - (j + 3) * slot - ef * empty_air) // air) <= att_total:
+            if j >= c and int(
+                (T - ((j + 3) * slot + ef * empty_air)) // air
+            ) <= att_total:
                 break
         w.att_tot_f[s] = att_total
         w.ua[s] = ua
@@ -2054,8 +2052,9 @@ class BatchDPKernel(BatchPolicyKernel):
         buffer via ``out=`` ufuncs / flat ``np.take`` gathers, the inverse
         priority permutation comes from a scatter, and the ordered-service
         solver and swap commit are short-circuited when provably idle.
-        Under ``backend="jit"`` the timeline block (empty-claim accounting
-        + ordered service) is one compiled per-row sweep instead.
+        Under ``backend="c"`` the timeline block (empty-claim accounting,
+        ordered service, busy and overhead sums) is one compiled per-row
+        sweep instead.
         """
         if self._use_inc:
             return self._run_interval_inc(k, arrivals, positive_debts, rng)
@@ -2186,16 +2185,10 @@ class BatchDPKernel(BatchPolicyKernel):
             counters.add("kernel.dp.setup", perf.clock() - t0)
             t0 = perf.clock()
 
-        if self._use_jit and not self._force_sequential:
-            # One compiled pass resolves the whole timeline (including
-            # empty-claim coupling), so no assumption check is needed.
-            jit_kernels.dp_timeline_rows(
-                order, w.bpos, w.iep, arrivals, needed,
-                float(T), float(air), float(slot), float(empty_air),
-                w.delivered, w.att_posf, w.fits, w.start, w.att_tot,
-            )
-            att_pos = w.att_posf
-            np.multiply(w.att_tot, air, out=w.busy)
+        if self._use_c and not self._force_sequential:
+            # One compiled pass per row resolves the whole timeline
+            # (empty-claim coupling included) and its busy/overhead sums.
+            self._c_timeline(order=order, backlog=arrivals, needed=needed)
         else:
             # Exclusive prefix sums land as one small matmul against a
             # strict upper-triangular mask — bit-exact on these
@@ -2263,19 +2256,17 @@ class BatchDPKernel(BatchPolicyKernel):
                         w.fits,
                         w.start,
                     )
-            att_pos = w.att_pos
-            np.matmul(att_pos, w.ones_wf, out=w.busyf)
+            np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
             np.multiply(w.busyf, air, out=w.busy)
-
-        np.greater(att_pos, 0, out=w.tx)
-        np.logical_or(w.tx, w.fits, out=w.tx)
-        np.multiply(w.bpos, w.tx, out=w.tmpi2)
-        w.tmpi2.max(axis=1, out=w.idle)
-        np.sum(w.fits, axis=1, out=w.ne)
-        np.multiply(w.ne, empty_air, out=w.eus)
-        np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, slot, out=w.ovh)
-        np.add(w.ovh, w.eus, out=w.ovh)
+            np.greater(w.att_pos, 0, out=w.tx)
+            np.logical_or(w.tx, w.fits, out=w.tx)
+            np.multiply(w.bpos, w.tx, out=w.tmpi2)
+            w.tmpi2.max(axis=1, out=w.idle)
+            np.sum(w.fits, axis=1, out=w.ne)
+            np.multiply(w.ne, empty_air, out=w.eus)
+            np.add(w.busy, w.eus, out=w.busy)
+            np.multiply(w.idle, slot, out=w.ovh)
+            np.add(w.ovh, w.eus, out=w.ovh)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
             t0 = perf.clock()
@@ -2316,7 +2307,7 @@ class BatchDPKernel(BatchPolicyKernel):
                     sigma[rcp, w.up[rcp, pc]] = csel
 
         if not lite:
-            w.attempts_f.ravel()[oflat] = att_pos.ravel()
+            w.attempts_f.ravel()[oflat] = w.att_pos.ravel()
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
         if counters.enabled:
             counters.add("kernel.dp.commit", perf.clock() - t0)
@@ -2349,9 +2340,11 @@ class BatchDPKernel(BatchPolicyKernel):
         resuming from position ``j0`` with ``att_total`` attempts already
         used and ``empties_fit`` empty claims already on air.
 
-        Uses the same pre-drawn retry counts and the same integer-ceiling
-        arithmetic as the vectorized path, so the combined result equals a
-        full sequential evaluation of the whole stack.  Operates on plain
+        Uses the same pre-drawn retry counts and the same floats, formed by
+        the same operations in the same order (``dead = b * slot + e *
+        empty``, ``start = att * air + dead``), as the vectorized path, so
+        the combined result equals a full sequential evaluation of the
+        whole stack — and the compiled ``backend="c"`` walk.  Operates on plain
         Python scalars — at tens of links that beats per-element ndarray
         indexing by an order of magnitude.  ``deliveries`` is
         link-indexed, the remaining output arrays position-indexed (the
@@ -2369,12 +2362,13 @@ class BatchDPKernel(BatchPolicyKernel):
         for j in range(j0, len(order_l)):
             link = order_l[j]
             backlog = arrivals_l[link]
-            start = att_total * air + empties_fit * empty_air + backoff_l[j] * slot
+            dead = backoff_l[j] * slot + empties_fit * empty_air
+            start = att_total * air + dead
             fits = False
             used = 0
             served = 0
             if backlog > 0:
-                cap = int((T - backoff_l[j] * slot - empties_fit * empty_air) // air)
+                cap = int((T - dead) // air)
                 budget = cap - att_total
                 if budget > 0:
                     # Indexing the ndarray row directly beats converting
@@ -2391,7 +2385,7 @@ class BatchDPKernel(BatchPolicyKernel):
                     att_total += used
             elif empty_l[j]:
                 if empty_air > 0:
-                    fits = start + empty_air <= T
+                    fits = start <= T - empty_air
                 else:
                     fits = start < T
                 if fits:

@@ -653,9 +653,10 @@ class BatchIntervalSimulator:
         :class:`~repro.sim.rng.BatchRngBundle`.
     backend:
         Kernel backend (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`):
-        ``"numpy"`` (preallocated workspace, default) or ``"jit"`` (Numba
-        inner loops, falls back to ``"numpy"`` without numba).  Both are
-        bit-identical; ``None`` resolves from ``REPRO_KERNEL_BACKEND``.
+        ``"c"`` (the sequential row walks compiled with the system C
+        compiler; the default wherever one works) or ``"numpy"`` (the
+        preallocated workspace; the fallback).  Both are bit-identical;
+        ``None`` resolves from ``REPRO_KERNEL_BACKEND``, then the host.
     rng:
         Draw discipline (:data:`~repro.sim.rng.RNG_MODES`): ``"free"``
         (the default when ``None`` and ``sync_rng`` is false) or

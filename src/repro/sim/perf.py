@@ -56,7 +56,9 @@ __all__ = [
 #: to the incremental path (persistent-inverse upkeep, backlogged
 #: serve-set selection, touched-entry zeroing).  Comparing the dense and
 #: incremental paths therefore means comparing the *sum* of their
-#: ``kernel.dp.*`` stages, not label by label.
+#: ``kernel.dp.*`` stages, not label by label.  ``clib.build`` is the
+#: one-time compile (cold cache) or load of a C library
+#: (:mod:`repro.sim.clib`), kept out of every ``kernel.*`` stage.
 KNOWN_STAGES = (
     "kernel.dp.setup",
     "kernel.dp.incremental",
@@ -65,7 +67,7 @@ KNOWN_STAGES = (
     "kernel.serve.interval",
     "draws.channel_refill",
     "draws.uniform_refill",
-    "jit.warmup",
+    "clib.build",
 )
 
 #: Re-exported so call sites read ``perf.clock()`` instead of importing

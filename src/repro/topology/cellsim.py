@@ -1,17 +1,13 @@
 """On-demand compiled cell kernel for multi-cell DB-DP runs.
 
 ``_cellsim.c`` (next to this module) holds a sequential, per-row port of
-the batch engine's single-pair DP interval semantics.  This wrapper
-compiles it with the system C compiler the first time it is needed —
-no new Python dependencies, no build step in the package — and drives
-it through :mod:`ctypes`:
-
-* the shared object is cached in the temp directory keyed by the SHA-256
-  of the source plus the compiler flags, so edits recompile and repeat
-  runs reuse the cache across processes (the final rename is atomic);
-* if no compiler is present (or ``REPRO_CELLSIM=0``),
-  :func:`compiled_available` is simply ``False`` and callers fall back
-  to the numpy lowering in :mod:`repro.topology.engine`.
+the batch engine's single-pair DP interval semantics.  This wrapper has
+:mod:`repro.sim.clib` compile it with the system C compiler the first
+time it is needed (cached per host, like the batch kernels' ``backend="c"``
+library) and drives it through :mod:`ctypes`.  If no compiler is present
+(or ``REPRO_CELLSIM=0``), :func:`compiled_available` is simply ``False``
+and callers fall back to the numpy lowering in
+:mod:`repro.topology.engine`.
 
 The compiled engine is *statistically equivalent* to the numpy engine's
 ``rng="free"`` discipline — same per-interval distributions, different
@@ -25,11 +21,7 @@ parameters, topology, seeds) regardless of packing or host.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -38,6 +30,7 @@ import numpy as np
 from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
+from ..sim import clib
 from ..traffic.arrivals import BernoulliArrivals, BurstyVideoArrivals
 from .boundary import BoundaryOwnerDraws
 from .engine import TopologyResult
@@ -51,44 +44,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("_cellsim.c")
-_BASE_FLAGS = ("-O3", "-fPIC", "-shared")
 _SEED_SALT = 0xCE11  # namespaces compiled streams away from everything else
-
-_lib: Optional[ctypes.CDLL] = None
-_load_error: Optional[str] = None
-_load_tried = False
-
-
-def _compiler() -> Optional[str]:
-    return (
-        os.environ.get("CC")
-        or shutil.which("cc")
-        or shutil.which("gcc")
-        or shutil.which("clang")
-    )
-
-
-def _build(cc: str) -> Path:
-    source = _SOURCE.read_bytes()
-    # -march=native is attempted first and dropped if the toolchain
-    # rejects it; both flag sets get their own cache entry.
-    for extra in (("-march=native",), ()):
-        flags = _BASE_FLAGS + extra
-        digest = hashlib.sha256(
-            source + repr((cc, flags)).encode()
-        ).hexdigest()[:20]
-        lib_path = Path(tempfile.gettempdir()) / f"repro_cellsim_{digest}.so"
-        if lib_path.exists():
-            return lib_path
-        tmp = lib_path.with_name(lib_path.name + f".tmp{os.getpid()}")
-        cmd = [cc, *flags, str(_SOURCE), "-o", str(tmp), "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode == 0:
-            os.replace(tmp, lib_path)  # atomic: concurrent builders race safely
-            return lib_path
-        tmp.unlink(missing_ok=True)
-        last_err = proc.stderr.strip() or f"exit {proc.returncode}"
-    raise RuntimeError(f"cellsim build failed: {last_err}")
 
 
 def _i64p(a: np.ndarray):
@@ -96,40 +52,25 @@ def _i64p(a: np.ndarray):
 
 
 def _load() -> ctypes.CDLL:
-    global _lib, _load_error, _load_tried
-    if _lib is not None:
-        return _lib
-    if _load_tried and _load_error is not None:
-        raise RuntimeError(_load_error)
-    _load_tried = True
-    try:
-        if os.environ.get("REPRO_CELLSIM", "1") == "0":
-            raise RuntimeError("disabled via REPRO_CELLSIM=0")
-        cc = _compiler()
-        if cc is None:
-            raise RuntimeError("no C compiler on PATH (set CC to override)")
-        lib = ctypes.CDLL(str(_build(cc)))
-        lib.cellsim_run.restype = None
-        _lib = lib
-        return lib
-    except Exception as exc:  # cache the reason; callers probe via compile_error
-        _load_error = str(exc)
-        raise RuntimeError(_load_error) from None
+    if os.environ.get("REPRO_CELLSIM", "1") == "0":
+        raise RuntimeError("disabled via REPRO_CELLSIM=0")
+    lib = clib.load(_SOURCE)
+    lib.cellsim_run.restype = None
+    return lib
 
 
 def compiled_available() -> bool:
     """True iff the C cell kernel can be (or already was) built and loaded."""
-    try:
-        _load()
-        return True
-    except RuntimeError:
-        return False
+    return compile_error() is None
 
 
 def compile_error() -> Optional[str]:
     """Why :func:`compiled_available` is False (None when it is True)."""
-    compiled_available()
-    return _load_error
+    try:
+        _load()
+    except RuntimeError as exc:
+        return str(exc)
+    return None
 
 
 # ----------------------------------------------------------------------

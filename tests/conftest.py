@@ -20,6 +20,7 @@ from repro import (
     low_latency_timing,
     video_timing,
 )
+from repro.sim import ckernels
 
 
 @pytest.fixture
@@ -69,3 +70,24 @@ def control_spec() -> NetworkSpec:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def c_backend() -> str:
+    """``"c"``, or skip (with the reason) where the compiled kernel
+    library cannot build — bit-identity against numpy would otherwise
+    compare numpy with its own fallback."""
+    error = ckernels.load_error()
+    if error is not None:
+        pytest.skip(f"kernel backend 'c' unavailable: {error}")
+    return "c"
+
+
+@pytest.fixture
+def backend(request) -> str:
+    """A kernel backend parametrized indirectly over
+    :data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`; ``"c"`` cases skip
+    like :func:`c_backend`."""
+    if request.param == "c":
+        return request.getfixturevalue("c_backend")
+    return request.param

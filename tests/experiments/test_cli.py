@@ -87,7 +87,8 @@ class TestEngineFlags:
         assert args.backend == "numpy"
 
     @pytest.mark.parametrize(
-        "flag,value", [("--rng", "batch"), ("--backend", "legacy")]
+        "flag,value",
+        [("--rng", "batch"), ("--backend", "legacy"), ("--backend", "jit")],
     )
     def test_removed_choices_rejected(self, flag, value):
         with pytest.raises(SystemExit):

@@ -10,7 +10,7 @@ Mirrors ``test_channel_equivalence.py`` for the traffic plane:
   fused engine with ``rng="free"`` is a *fresh sample* of the same
   estimator as the scalar engine; per-cell means must agree within a
   joint 3-sigma confidence bound.
-* **Backend identity** — the numpy and jit batch backends consume the
+* **Backend identity** — the numpy and c batch backends consume the
   identical arrival-state planes (bit-identical sweeps), and
   ``sync_rng=True`` is bit-identical to the scalar engine on every
   kernel backend, Markov/renewal arrival state included.
@@ -32,7 +32,6 @@ from repro import (
     idealized_timing,
 )
 from repro.experiments.runner import run_single, run_sweep
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.sim.interval_sim import run_simulation
 from repro.traffic.arrivals import MarkovModulatedArrivals, ParetoBurstArrivals
@@ -89,19 +88,6 @@ def _assert_joint_ci(f, b, policy, value, label_a, label_b):
         f"{policy}@{value}: {label_a} {f.total_deficiency:.4f} vs "
         f"{label_b} {b.total_deficiency:.4f} (tol {tol:.4f})"
     )
-
-
-@pytest.fixture(scope="module")
-def jit_runnable():
-    """Make backend='jit' runnable: compiled if numba is present, else
-    the forced-Python flavor of the same kernel bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        old = jit_kernels.force_python
-        jit_kernels.force_python = True
-        yield False
-        jit_kernels.force_python = old
-    else:
-        yield True
 
 
 class TestArrivalStateLeak:
@@ -173,7 +159,7 @@ class TestMarkovModulatedStatistical:
             "scalar",
         )
 
-    def test_jit_backend_bit_identical_to_numpy(self, mmpp_sweeps, jit_runnable):
+    def test_c_backend_bit_identical_to_numpy(self, mmpp_sweeps, c_backend):
         fused_numpy, _ = mmpp_sweeps
         kw = dict(
             parameter_name="ratio",
@@ -183,8 +169,8 @@ class TestMarkovModulatedStatistical:
             num_intervals=INTERVALS,
             seeds=SEEDS,
         )
-        fused_jit = run_sweep(**kw, engine="fused", rng="free", backend="jit")
-        assert fused_jit.points == fused_numpy.points
+        fused_c = run_sweep(**kw, engine="fused", rng="free", backend="c")
+        assert fused_c.points == fused_numpy.points
 
 
 class TestParetoBurstStatistical:
@@ -211,11 +197,9 @@ class TestParetoBurstStatistical:
 
 
 class TestSyncIdentity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
     @pytest.mark.parametrize("builder", [_mmpp_builder, _pareto_builder])
-    def test_sync_batch_bit_identical_to_scalar(
-        self, builder, backend, jit_runnable
-    ):
+    def test_sync_batch_bit_identical_to_scalar(self, builder, backend):
         """``sync_rng=True`` replays the scalar per-seed streams, arrival
         state included, on every kernel backend."""
         spec = builder(0.8)

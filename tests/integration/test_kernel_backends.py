@@ -1,21 +1,22 @@
-"""Cross-backend bit-identity: workspace NumPy vs JIT kernels.
+"""Cross-backend bit-identity: workspace NumPy vs compiled C kernels.
 
 Both kernel backends consume the same generator values in the same
-order, and every derived quantity is an exact small integer in float
-storage, so the closed-form workspace passes and the compiled (or
-forced-Python) per-row loops must agree **bit for bit** — under both
-draw disciplines (``free`` and ``sync``), on full fused sweeps and on
-direct batch runs, priorities included.
+order, every count is an exact small integer in float storage, and the
+C row walks evaluate every timeline float with numpy's operations in
+numpy's order, so the closed-form workspace passes and the compiled
+per-row loops must agree **bit for bit** — under both draw disciplines
+(``free`` and ``sync``), on full fused sweeps and on direct batch runs,
+priorities included, with integer and non-integer timings.
 
-The JIT leg runs compiled when numba is importable; otherwise it runs
-the pure-Python bodies of the same loop functions
-(``jit_kernels.force_python``), which exercises exactly the code numba
-would compile.  The CI workflow runs this module both with and without
-numba installed, so both flavors are proven.
+The ``"c"`` cases skip, naming the reason, only where no C compiler
+works.  :class:`TestNoCompilerFallback` forces that situation and checks
+the numpy fallback; CI runs this module once with the system compiler
+and once with ``CC=/bin/false``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -31,8 +32,10 @@ from repro import (
 )
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
-from repro.sim import jit_kernels
+from repro.sim import ckernels, clib, perf
 from repro.sim.batch_kernels import KERNEL_BACKENDS, resolve_backend
+from repro.sim.batch_sim import BatchIntervalSimulator
+from repro.topology import cellsim, partition_cells, run_topology_batch
 
 SEEDS = (0, 1, 2, 3)
 INTERVALS = 250
@@ -41,13 +44,34 @@ POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
 RNG_MODES = ("free", "sync")
 
 
+FIELDS = (
+    "deliveries", "attempts", "busy_time_us", "overhead_time_us",
+    "collisions", "priorities",
+)
+
+
 @pytest.fixture
-def jit_runnable(monkeypatch):
-    """Make backend='jit' runnable: compiled if numba is present, else
-    forced through the pure-Python loop bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
+def no_compiler(monkeypatch):
+    """A host whose C compiler fails: the shared loader forgets every
+    library it loaded and every later build runs ``/bin/false``."""
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    monkeypatch.setattr(clib, "_libs", {})
+
+
+def _batch(spec, factory, backend, intervals=INTERVALS, rng="free"):
+    return run_simulation_batch(
+        spec, factory(), intervals, SEEDS,
+        record_priorities=True, backend=backend, rng=rng,
+    )
+
+
+def _assert_same(got, ref, fields=FIELDS, label=""):
+    for field in fields:
+        np.testing.assert_array_equal(
+            getattr(got, field), getattr(ref, field),
+            err_msg=f"{label}/{field}",
+        )
 
 
 def _fused(backend, rng):
@@ -66,8 +90,8 @@ def _fused(backend, rng):
 
 class TestFusedSweepBackendIdentity:
     @pytest.mark.parametrize("rng", RNG_MODES)
-    def test_jit_matches_numpy_bitwise(self, rng, jit_runnable):
-        assert _fused("jit", rng).points == _fused("numpy", rng).points
+    def test_c_matches_numpy_bitwise(self, rng, c_backend):
+        assert _fused("c", rng).points == _fused("numpy", rng).points
 
 
 class TestDirectBatchBackendIdentity:
@@ -78,36 +102,25 @@ class TestDirectBatchBackendIdentity:
          StaticPriorityPolicy],
         ids=lambda f: f.__name__,
     )
-    def test_backends_agree_on_every_field(self, factory, rng, jit_runnable):
+    def test_backends_agree_on_every_field(self, factory, rng, c_backend):
         # 12 links under the video timing: enough contention that the
         # interval budget truncates service on loaded rows.
         spec = video_symmetric_spec(0.6, num_links=12)
-        results = {
-            backend: run_simulation_batch(
-                spec, factory(), INTERVALS, SEEDS,
-                record_priorities=True, backend=backend, rng=rng,
-            )
-            for backend in KERNEL_BACKENDS
-        }
-        assert KERNEL_BACKENDS == ("numpy", "jit")
-        ref, got = results["numpy"], results["jit"]
-        for field in (
-            "arrivals", "deliveries", "attempts", "busy_time_us",
-            "overhead_time_us", "collisions", "priorities",
-        ):
-            np.testing.assert_array_equal(
-                getattr(got, field),
-                getattr(ref, field),
-                err_msg=f"{factory.__name__}/{rng}/{field}",
-            )
+        assert KERNEL_BACKENDS == ("numpy", "c")
+        _assert_same(
+            _batch(spec, factory, "c", rng=rng),
+            _batch(spec, factory, "numpy", rng=rng),
+            ("arrivals",) + FIELDS,
+            f"{factory.__name__}/{rng}",
+        )
 
 
 class TestRankLayoutBackendIdentity:
     """Beyond the transmission budget (N=80 > 61 on the video timing)
     every consumer reads the rank-layout channel block: the dense
     ordered-service and DP paths through its link plane, the incremental
-    DP path through its rank rows.  The jit loop bodies must read the
-    same values as the NumPy passes."""
+    DP path through its rank rows.  The C row walks must read the same
+    values as the NumPy passes."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -120,23 +133,57 @@ class TestRankLayoutBackendIdentity:
         ],
         ids=["LDF", "RoundRobin", "StaticPriority", "DB-DP", "DB-DP-2pair"],
     )
-    def test_backends_agree_at_n80(self, factory, jit_runnable):
+    def test_backends_agree_at_n80(self, factory, c_backend):
         spec = video_symmetric_spec(0.6, num_links=80)
-        results = {
-            backend: run_simulation_batch(
-                spec, factory(), 150, SEEDS,
-                record_priorities=True, backend=backend, rng="free",
+        ref = _batch(spec, factory, "numpy", 150)
+        assert ref.deliveries.sum() > 0
+        _assert_same(_batch(spec, factory, "c", 150), ref)
+
+
+class TestNonIntegerTimingBackendIdentity:
+    """Non-integer timings leave the kernels' exact-divide shortcut
+    (``_exact_div`` False): attempt ceilings take numpy's fmod-based
+    floor division and the timeline runs in float64, where the operation
+    order decides the last bit.  Dense (N=12) and incremental (N=80) DP
+    and the ordered-service kernel must still agree bit for bit."""
+
+    @staticmethod
+    def _spec(num_links):
+        base = video_symmetric_spec(0.6, num_links=num_links)
+        timing = dataclasses.replace(
+            base.timing,
+            interval_us=20_000.3,
+            data_airtime_us=330.7,
+            empty_airtime_us=66.1,
+            backoff_slot_us=9.3,
+        )
+        return dataclasses.replace(base, timing=timing)
+
+    @pytest.mark.parametrize("num_links", [12, 80])
+    @pytest.mark.parametrize(
+        "factory", [DBDPPolicy, LDFPolicy], ids=["DB-DP", "LDF"]
+    )
+    def test_backends_agree(self, factory, num_links, c_backend):
+        spec = self._spec(num_links)
+        ref = _batch(spec, factory, "numpy", 150)
+        assert ref.deliveries.sum() > 0
+        _assert_same(_batch(spec, factory, "c", 150), ref)
+
+    def test_dense_start_planes_agree(self, c_backend):
+        # Service starts are rounded floats here; a different operation
+        # order shows in their last bit long before it flips a decision.
+        sims = {
+            backend: BatchIntervalSimulator(
+                self._spec(12), DBDPPolicy(), SEEDS, backend=backend
             )
             for backend in KERNEL_BACKENDS
         }
-        ref, got = results["numpy"], results["jit"]
-        assert ref.deliveries.sum() > 0
-        for field in (
-            "deliveries", "attempts", "busy_time_us", "overhead_time_us",
-            "collisions", "priorities",
-        ):
+        assert not sims["c"].kernel._exact_div
+        for _ in range(60):
+            for sim in sims.values():
+                sim.step()
             np.testing.assert_array_equal(
-                getattr(got, field), getattr(ref, field), err_msg=field
+                sims["c"].kernel._ws.start, sims["numpy"].kernel._ws.start
             )
 
 
@@ -145,34 +192,68 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("cuda")
 
+    def test_removed_jit_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend("jit")
+
     def test_explicit_backends_pass_through(self):
         assert resolve_backend("numpy") == "numpy"
 
-    def test_default_prefers_jit_when_compiled_else_numpy(self, monkeypatch):
+    def test_default_prefers_c_when_compiled_else_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.setattr(jit_kernels, "force_python", False)
-        expected = "jit" if jit_kernels.HAS_NUMBA else "numpy"
+        expected = "c" if ckernels.available() else "numpy"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the silent default never warns
             assert resolve_backend(None) == expected
 
-    def test_default_ignores_jit_when_forced_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-        assert resolve_backend(None) == "numpy"
-
-    @pytest.mark.skipif(
-        jit_kernels.HAS_NUMBA, reason="needs a numba-free environment"
-    )
-    def test_jit_without_numba_degrades_with_warning(self, monkeypatch):
-        monkeypatch.setattr(jit_kernels, "force_python", False)
-        with pytest.warns(RuntimeWarning, match="falls back"):
-            assert resolve_backend("jit") == "numpy"
-
-    @pytest.mark.skipif(
-        not jit_kernels.HAS_NUMBA, reason="compiled leg needs numba"
-    )
-    def test_jit_with_numba_resolves_silently(self):
+    def test_c_with_compiler_resolves_silently(self, c_backend):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend("jit") == "jit"
+            assert resolve_backend("c") == "c"
+
+
+class TestBuildCost:
+    def test_build_is_its_own_perf_stage(self, c_backend, monkeypatch):
+        # A forgotten library is loaded again (from the host's .so
+        # cache, or compiled): once per process, outside kernel.*.
+        monkeypatch.setattr(clib, "_libs", {})
+        spec = video_symmetric_spec(0.6, num_links=12)
+        perf.reset()
+        perf.enable()
+        try:
+            _batch(spec, DBDPPolicy, "c", intervals=5)
+            _batch(spec, LDFPolicy, "c", intervals=5)
+            stages = perf.counters.snapshot()
+        finally:
+            perf.disable()
+            perf.reset()
+        assert stages["clib.build"]["calls"] == 1
+        assert stages["kernel.dp.timeline"]["calls"] == 5
+
+
+class TestNoCompilerFallback:
+    """With the compiler lookup failing, everything still runs on numpy."""
+
+    def test_default_resolves_to_numpy_silently(self, no_compiler):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend(None) == "numpy"
+        assert "/bin/false" in ckernels.load_error()
+
+    def test_c_without_compiler_degrades_with_warning(self, no_compiler):
+        spec = video_symmetric_spec(0.6, num_links=12)
+        with pytest.warns(RuntimeWarning, match="falls back") as caught:
+            got = _batch(spec, DBDPPolicy, "c")
+        assert len(caught) == 1
+        _assert_same(got, _batch(spec, DBDPPolicy, "numpy"))
+
+    def test_topology_engine_runs(self, no_compiler):
+        assert not cellsim.compiled_available()
+        assert "/bin/false" in cellsim.compile_error()
+        spec = video_symmetric_spec(0.55, num_links=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_topology_batch(
+                spec, DBDPPolicy(), SEEDS, partition_cells(12, 3), 40
+            )
+        assert result.delivery_sums.sum() > 0

@@ -38,7 +38,6 @@ from repro.core.permutations import (
 )
 from repro.experiments.configs import low_latency_spec, video_symmetric_spec
 from repro.phy.channel import channel_from_spec
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import BatchDPKernel
 from repro.sim.batch_sim import BatchIntervalSimulator
 
@@ -145,26 +144,17 @@ class TestDenseIncrementalBitIdentity:
         _assert_runs_identical(dense, inc, "rng=free")
 
 
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    """Make backend='jit' runnable: compiled if numba is present, else
-    forced through the pure-Python loop bodies (the exact code numba
-    would compile; the numba leg itself runs in CI)."""
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-
-
 class TestCrossBackendIdentity:
-    """numpy and jit, each dense and incremental, all consume the same
+    """numpy and c, each dense and incremental, all consume the same
     free draws and must agree bit for bit."""
 
-    def test_n200_all_backends(self, jit_runnable):
+    def test_n200_all_backends(self, c_backend):
         spec = _video(200)
         runs = {
             (backend, mode): _run(
                 spec, 40, dense=mode == "dense", backend=backend, rng="free"
             )
-            for backend in ("numpy", "jit")
+            for backend in ("numpy", "c")
             for mode in ("dense", "incremental")
         }
         for (backend, mode), (sim, _) in runs.items():
@@ -173,8 +163,8 @@ class TestCrossBackendIdentity:
         for key, (_, got) in runs.items():
             _assert_runs_identical(ref, got, f"numpy-dense vs {key}")
 
-    @pytest.mark.parametrize("backend", ["numpy", "jit"])
-    def test_n2000_dense_vs_incremental(self, backend, jit_runnable):
+    @pytest.mark.parametrize("backend", ["numpy", "c"], indirect=True)
+    def test_n2000_dense_vs_incremental(self, backend):
         # The scale the engine exists for; few intervals keep it cheap.
         spec = _video(2000)
         kw = dict(seeds=(0, 1), backend=backend, rng="free")

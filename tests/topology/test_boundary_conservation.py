@@ -13,7 +13,6 @@ import pytest
 
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.topology import BoundaryOwnerDraws, TopologySimulator, grid_cells
 
@@ -21,13 +20,6 @@ SEEDS = (0, 1, 2)
 INTERVALS = 80
 NUM_LINKS = 12
 NUM_CELLS = 3
-
-
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
 
 
 def _run(rng, backend):
@@ -43,8 +35,8 @@ def _run(rng, backend):
 
 
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_boundary_conservation(rng, backend, jit_runnable):
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+def test_boundary_conservation(rng, backend):
     topo, sim, result = _run(rng, backend)
     traces = sim.sim.result
     S = len(SEEDS)

@@ -12,7 +12,6 @@ import pytest
 
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import (
@@ -29,18 +28,9 @@ NUM_LINKS = 12
 NUM_CELLS = 3
 
 
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    """Make backend='jit' runnable: compiled if numba is present, else
-    forced through the pure-Python loop bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
-
-
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_disconnected_bit_identical_per_interval(rng, backend, jit_runnable):
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+def test_disconnected_bit_identical_per_interval(rng, backend):
     spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
     topo = partition_cells(NUM_LINKS, NUM_CELLS)
     sim = TopologySimulator(

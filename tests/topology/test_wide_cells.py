@@ -16,7 +16,6 @@ import pytest
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.phy.channel import channel_from_spec
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import (
@@ -29,13 +28,6 @@ from repro.topology import (
 
 SEEDS = (0, 1)
 INTERVALS = 40
-
-
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
 
 
 def _spec(num_links, channel=None):
@@ -64,9 +56,9 @@ def _check_sound(sim, result, width):
     ids=["single-80", "single-160", "two-cells-80"],
 )
 @pytest.mark.parametrize("rng", [None, "sync"])
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
 def test_wide_cells_match_independent_cell_sims(
-    num_links, topology, rng, backend, jit_runnable
+    num_links, topology, rng, backend
 ):
     spec = _spec(num_links)
     sim = TopologySimulator(
