@@ -19,10 +19,10 @@
  * (T - dead) / air either by floor(a / b) where the kernel proved that
  * exact (integer timings, see BatchDPKernel._exact_div) or by numpy's
  * fmod-based floor_divide otherwise.  Busy time is the attempt total
- * times the data airtime in the draw dtype, as numpy's matmul-then-scale
- * produces it.  The file must be built with -ffp-contract=off and never
- * with -ffast-math (repro.sim.clib does so), or the compiler may fuse
- * att * air + dead into one rounding.
+ * times the data airtime in double, plus the fitting claims' airtime, as
+ * the scalar engine computes it.  The file must be built with
+ * -ffp-contract=off and never with -ffast-math (repro.sim.clib does so),
+ * or the compiler may fuse att * air + dead into one rounding.
  *
  * One entry point per dtype combination: W is the draw dtype (cumulative
  * retry counts, attempts by position), L the timeline dtype of the start
@@ -105,7 +105,7 @@ typedef struct {
                 delivered[link] = d;                                        \
                 att_pos[s * N + j] = (W)u;                                  \
             }                                                               \
-            a->busy[s] = (double)((W)used * (W)a->air);                     \
+            a->busy[s] = (double)used * a->air;                             \
         }                                                                   \
     }
 
@@ -176,7 +176,7 @@ typedef struct {
                     idle = bo;                                              \
             }                                                               \
             const double claims = (double)fit * ea;                         \
-            a->busy[s] = (double)((W)att_total * (W)air) + claims;          \
+            a->busy[s] = (double)att_total * air + claims;                  \
             a->ovh[s] = (double)idle * slot + claims;                       \
         }                                                                   \
     }
@@ -285,7 +285,7 @@ typedef struct {
                 }                                                           \
             }                                                               \
             const double claims = (double)fit * ea;                         \
-            a->busy[s] = (double)((W)att_total * (W)air) + claims;          \
+            a->busy[s] = (double)att_total * air + claims;                  \
             a->ovh[s] = (double)idle * slot + claims;                       \
             a->tx_a[s] = (uint8_t)txa;                                      \
             a->start_a[s] = sta;                                            \

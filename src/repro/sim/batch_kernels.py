@@ -1062,7 +1062,8 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
                 np.add(order, w.row_off, out=w.oflat)
                 self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
                 np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
-                np.multiply(w.busyf, self._data_air, out=w.busy)
+                np.copyto(w.busy, w.busyf)
+                np.multiply(w.busy, self._data_air, out=w.busy)
         if not lite:
             np.add(order, w.row_off, out=w.oflat)
             w.attempts_f.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
@@ -1422,7 +1423,11 @@ class BatchDPKernel(BatchPolicyKernel):
         attempts in one interval plus the marginal starved one, fewer
         than ``n`` whenever :meth:`_on_bind` picks this path — so memory
         and per-interval math scale with the attempt budget, not the
-        network size.
+        network size.  The one exception is the serve-set scan's scratch
+        (:meth:`_select_serve_set`), which scales with the priority-order
+        prefix the scan needs and grows on demand; nothing here is an
+        ``(S, n)`` plane except the persistent inverse permutation and
+        the sparse outcome planes.
         """
         S, n = self.num_seeds, self.spec.num_links
         A = self._a_max
@@ -1446,17 +1451,23 @@ class BatchDPKernel(BatchPolicyKernel):
         # interval zeroes those K entries instead of the whole plane.
         w.delivered = np.zeros((S, n), dtype=np.int64)
         w.attempts_i = np.zeros((S, n), dtype=np.int64)
-        w.prev_links = np.zeros((S, K), dtype=np.int64)
         w.pfscr = np.empty((S, K), dtype=np.int64)
-        # Serve-set selection scratch: the K lowest backlogged positions.
-        w.posm = np.empty((S, n), dtype=np.int64)
-        w.maskn = np.empty((S, n), dtype=bool)
-        w.pflat = np.empty((S, K), dtype=np.int64)
-        w.posk_un = np.empty((S, K), dtype=np.int64)
-        w.posk = np.empty((S, K), dtype=np.int64)
-        w.oflatk = np.empty((S, K), dtype=np.int64)
-        w.row_off_k = (np.arange(S, dtype=np.int64) * K)[:, None]
+        # Serve-set selection (see _select_serve_set).  The serve set's
+        # link ids (``prev_links`` once the next interval starts) and
+        # positions are (S, K) views of buffers with one extra trailing
+        # slot, the scatter's dump target for unselected prefix entries.
+        w.links_buf = np.zeros(S * K + 1, dtype=np.int64)
+        w.prev_links = w.links_buf[: S * K].reshape(S, K)
+        w.posk_buf = np.empty(S * K + 1, dtype=np.int64)
+        w.posk = w.posk_buf[: S * K].reshape(S, K)
         w.sel_flat = np.empty((S, K), dtype=np.int64)
+        w.row_off_k_m1 = (np.arange(S, dtype=np.int64) * K - 1)[:, None]
+        w.cols = np.arange(n, dtype=np.int64)
+        # Prefix width of the scan, and its (3 int + 2 bool) x (S * cap)
+        # scratch, grown on demand (to twice the width that outgrew it)
+        # so it scales with the prefix, not n.
+        w.scan_m = K
+        w.scan_cap = 0
         # (S, K) block scratch for the closed-form timeline.
         w.blk = np.empty((S, K), dtype=np.int64)
         w.tmpk_i = np.empty((S, K), dtype=np.int64)
@@ -1536,7 +1547,7 @@ class BatchDPKernel(BatchPolicyKernel):
             np.broadcast_to(self._reliabilities, (S, n)), dtype=np.float64
         ).ravel()
         if perf.counters.enabled:
-            perf.counters.alloc("kernel.dp.bind_workspace", 60)
+            perf.counters.alloc("kernel.dp.bind_workspace", 56)
         self._ws = w
         if self._use_c:
             self._c_incremental = self._bind_c(
@@ -1575,18 +1586,24 @@ class BatchDPKernel(BatchPolicyKernel):
           so the block math is ``(S, K)`` instead of the dense solver's
           ``(S, N)`` planes and (n, n)/(S, N, A) products, and its
           channel rows are exactly the draws' ``(S, K, A)`` rank block;
+        * the serve set itself comes from a scan of a short prefix of
+          the persistent inverse (:meth:`_select_serve_set`), so the
+          selection touches the positions up to the ``K``-th backlogged
+          link, not all ``N``;
         * the two candidate positions (the only ones with data-dependent
           backoffs or empty claims) are handled by per-row scalar
           columns, which is what makes the serve-set reduction exact.
 
         Outcome planes persist across intervals with sparse zeroing of
-        the previous serve set, so no O(S*N) fill appears anywhere in the
-        steady-state loop (the dense path's per-interval ``sigma.copy()``
-        for the outcome remains, and is skipped in lite mode).
+        the previous serve set, so no O(S*N) pass appears anywhere in the
+        steady-state loop except the arrivals' own ``any()`` and, outside
+        lite mode, the ``sigma.copy()`` for the outcome.  Both backends
+        share this selection; under ``backend="c"`` the timeline block is
+        one compiled per-row walk instead of the closed form.
         """
         w = self._ws
         counters = perf.counters
-        S, n = arrivals.shape
+        S = arrivals.shape[0]
         T = self._interval_us
         air = self._data_air
         slot = self._slot
@@ -1594,7 +1611,6 @@ class BatchDPKernel(BatchPolicyKernel):
         lite = self._lite
         sigma = self._sigma
         sigma_out = None if lite else sigma.copy()
-        K = self._inc_k
         if counters.enabled:
             t0 = perf.clock()
 
@@ -1627,7 +1643,6 @@ class BatchDPKernel(BatchPolicyKernel):
         np.logical_and(w.cd, w.xib[:, 1:], out=w.cc)
         rc = np.flatnonzero(w.cc[:, 0])
         cdx = cands[rc, 0]
-        cdm1 = cdx - 1
         np.subtract(cands, w.xi[:, :1], out=w.vs)
         np.subtract(cands, w.xi[:, 1:], out=w.vs2)
         np.add(w.vs2, 1, out=w.vs2)
@@ -1651,34 +1666,15 @@ class BatchDPKernel(BatchPolicyKernel):
 
         # -- incremental: sparse zeroing + serve-set selection -------------
         # Zero the entries the *previous* interval touched (its serve set),
-        # then select this interval's serve set: the K lowest backlogged
-        # priority positions, with the candidate pair's position fix-ups
-        # applied on commit-coin rows.
+        # then select this interval's serve set.
         np.add(w.prev_links, w.row_off, out=w.pfscr)
         w.delivered.ravel()[w.pfscr.ravel()] = 0
         if not lite:
             w.attempts_i.ravel()[w.pfscr.ravel()] = 0
-        np.subtract(sigma, 1, out=w.posm)
-        if rc.size:
-            w.posm[rc, w.down[rc, 0]] = cdx
-            w.posm[rc, w.up[rc, 0]] = cdm1
-        np.equal(arrivals, 0, out=w.maskn)
-        np.copyto(w.posm, n, where=w.maskn)
-        # The K smallest positions (argpartition), then sorted into
-        # service order; np.argpartition/argsort have no out= variant, so
-        # these are the path's two accepted per-interval allocations
-        # (reported via the stage's alloc count).
-        part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
-        np.add(part, w.row_off, out=w.pflat)
-        w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
-        ordk = np.argsort(w.posk_un, axis=1)
-        np.add(ordk, w.row_off_k, out=w.oflatk)
-        w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
-        w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
+        allocs = self._select_serve_set(arrivals, rc, cdx)
         posk = w.posk
-        np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
         if counters.enabled:
-            counters.add("kernel.dp.incremental", perf.clock() - t0, 2)
+            counters.add("kernel.dp.incremental", perf.clock() - t0, allocs)
             t0 = perf.clock()
 
         # -- timeline ------------------------------------------------------
@@ -1814,7 +1810,8 @@ class BatchDPKernel(BatchPolicyKernel):
             np.maximum(w.idle, w.tmpi_s, out=w.idle)
             np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
             np.maximum(w.idle, w.tmpi_s, out=w.idle)
-            np.multiply(w.att_tot_f, air, out=w.busy)
+            np.copyto(w.busy, w.att_tot_f)
+            np.multiply(w.busy, air, out=w.busy)
             np.multiply(w.ne, empty_air, out=w.eus)
             np.add(w.busy, w.eus, out=w.busy)
             np.multiply(w.idle, slot, out=w.ovh)
@@ -1845,6 +1842,82 @@ class BatchDPKernel(BatchPolicyKernel):
             collisions=w.zeroi,
             priorities=sigma_out,
         )
+
+    def _select_serve_set(
+        self, arrivals: np.ndarray, rc: np.ndarray, cdx: np.ndarray
+    ) -> int:
+        """Write this interval's serve set into ``sel_flat`` and ``posk``.
+
+        Row ``s``'s serve set is its first ``K`` backlogged links in
+        priority order, where the order is ``inv`` with the candidate
+        pair's positions exchanged on the commit-coin rows ``rc``
+        (position ``c - 1`` holds the up-link, ``c`` the down-link).
+        ``posk`` holds their positions, ascending; ``sel_flat`` their
+        flat ``row * N + link`` indices.  A row with fewer than ``K``
+        backlogged links in all ``N`` positions fills its remaining
+        slots with distinct non-backlogged links at position ``N``: they
+        receive no attempts, and being distinct, the sparse outcome
+        scatters never overwrite a real count with their zeros.
+
+        Only a prefix ``inv[:, :M]`` is scanned: gather its backlog, take
+        a running count of backlogged links and scatter each row's first
+        ``K`` into place.  If some row holds fewer than ``K``, ``M``
+        doubles (up to ``N``) and the scan repeats.  The next interval
+        starts from 1.25x the largest ``K``-th backlogged position seen
+        here — one adjacent swap per interval barely moves it.  Returns
+        the number of scratch buffers allocated (nonzero only while the
+        prefix outgrows every earlier one).
+        """
+        w = self._ws
+        S, n = arrivals.shape
+        K = self._inc_k
+        M = w.scan_m
+        arr_flat = arrivals.ravel()
+        allocs = 0
+        while True:
+            if M > w.scan_cap:
+                w.scan_cap = min(n, 2 * M)
+                w.scan_i = np.empty((3, S * w.scan_cap), dtype=np.int64)
+                w.scan_b = np.empty((2, S * w.scan_cap), dtype=bool)
+                allocs += 2
+            size = S * M
+            pre = w.scan_i[0, :size].reshape(S, M)
+            idx = w.scan_i[1, :size].reshape(S, M)
+            cnt = w.scan_i[2, :size].reshape(S, M)
+            mk = w.scan_b[0, :size].reshape(S, M)
+            drop = w.scan_b[1, :size].reshape(S, M)
+            np.copyto(pre, w.inv[:, :M])
+            if rc.size:
+                lo = cdx <= M
+                pre[rc[lo], cdx[lo] - 1] = w.up[rc[lo], 0]
+                hi = cdx < M
+                pre[rc[hi], cdx[hi]] = w.down[rc[hi], 0]
+            np.add(pre, w.row_off, out=idx)
+            arr_flat.take(idx.ravel(), out=cnt.ravel())
+            np.greater(cnt, 0, out=mk)
+            np.cumsum(mk, axis=1, out=cnt)
+            if M == n or cnt[:, M - 1].min() >= K:
+                break
+            M = min(n, 2 * M)
+        # Backlogged entry with running count r goes to slot r - 1 of its
+        # row; every other entry goes to the dump slot S * K.
+        np.add(cnt, w.row_off_k_m1, out=idx)
+        np.less_equal(cnt, K, out=drop)
+        np.logical_and(drop, mk, out=drop)
+        np.logical_not(drop, out=drop)
+        np.copyto(idx, S * K, where=drop)
+        w.links_buf[idx] = pre
+        w.posk_buf[idx] = w.cols[:M]
+        if M == n:
+            for s in np.flatnonzero(cnt[:, n - 1] < K):
+                have = int(cnt[s, n - 1])
+                free = np.flatnonzero(~mk[s])[: K - have]
+                w.prev_links[s, have:] = pre[s, free]
+                w.posk[s, have:] = n
+        np.add(w.prev_links, w.row_off, out=w.sel_flat)
+        reach = int(w.posk[:, K - 1].max()) + 1
+        w.scan_m = min(n, max(K, reach + reach // 4))
+        return allocs
 
     def _resolve_row_inc(
         self,
@@ -2257,7 +2330,8 @@ class BatchDPKernel(BatchPolicyKernel):
                         w.start,
                     )
             np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
-            np.multiply(w.busyf, air, out=w.busy)
+            np.copyto(w.busy, w.busyf)
+            np.multiply(w.busy, air, out=w.busy)
             np.greater(w.att_pos, 0, out=w.tx)
             np.logical_or(w.tx, w.fits, out=w.tx)
             np.multiply(w.bpos, w.tx, out=w.tmpi2)

@@ -11,6 +11,11 @@ import, with no build step in the package and no Python dependency:
   the source, the compiler and its flags, so an edit recompiles and later
   processes on the host reuse the cached build; the final rename is
   atomic, so concurrent builders race safely;
+* a cold build evicts all but the :data:`KEEP_BUILDS` most recently
+  used builds of its source (by mtime, which a cache hit refreshes), so
+  edits do not pile up shared objects, while a few trees run side by
+  side (say, a checkout and a branch under comparison) keep their
+  builds without recompiling;
 * ``-march=native`` is tried first and dropped if the toolchain rejects
   it; ``-ffp-contract=off`` keeps every floating-point expression rounded
   as written (no fused multiply-add), which bit-identity with numpy needs;
@@ -39,6 +44,9 @@ __all__ = ["compiler", "load", "load_error"]
 
 _BASE_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: Cached builds of one source that survive a cold build's eviction.
+KEEP_BUILDS = 4
+
 #: Per-source outcome of the first load: the library, or why it failed.
 _libs: Dict[Path, Union[ctypes.CDLL, str]] = {}
 
@@ -62,6 +70,10 @@ def _build(source: Path, cc: str) -> Path:
         digest = hashlib.sha256(code + repr((cc, flags)).encode()).hexdigest()
         lib_path = Path(tempfile.gettempdir()) / f"repro_{stem}_{digest[:20]}.so"
         if lib_path.exists():
+            try:
+                os.utime(lib_path)  # eviction ranks builds by last use
+            except OSError:
+                pass
             return lib_path
         import subprocess  # only a cold cache compiles
 
@@ -70,10 +82,32 @@ def _build(source: Path, cc: str) -> Path:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode == 0:
             os.replace(tmp, lib_path)
+            _evict(lib_path.parent, stem)
             return lib_path
         tmp.unlink(missing_ok=True)
         last_err = proc.stderr.strip() or f"exit {proc.returncode}"
     raise RuntimeError(f"{cc} failed: {last_err}")
+
+
+def _evict(directory: Path, stem: str) -> None:
+    """Delete all but the :data:`KEEP_BUILDS` newest builds of ``stem``.
+
+    Only finished builds (``repro_<stem>_<digest>.so``) are candidates,
+    never another process's in-flight ``.tmp<pid>`` file.  A build that
+    vanishes meanwhile (a concurrent eviction) is skipped.
+    """
+    builds = []
+    for path in directory.glob(f"repro_{stem}_{'[0-9a-f]' * 20}.so"):
+        try:
+            builds.append((path.stat().st_mtime, path))
+        except OSError:
+            pass
+    builds.sort(reverse=True)
+    for _, path in builds[KEEP_BUILDS:]:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 def load(source: Path) -> ctypes.CDLL:

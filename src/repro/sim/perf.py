@@ -52,9 +52,11 @@ __all__ = [
 #: coins, backoff construction), ``kernel.dp.timeline`` (interval
 #: timeline / ordered-service solve), ``kernel.dp.commit`` (swap commit
 #: and outcome scatters) on both priority-state paths, and additionally
-#: ``kernel.dp.incremental`` — the sparse-state maintenance work unique
-#: to the incremental path (persistent-inverse upkeep, backlogged
-#: serve-set selection, touched-entry zeroing).  Comparing the dense and
+#: ``kernel.dp.incremental`` — the sparse-state work unique to the
+#: incremental path: zeroing the entries the previous serve set touched
+#: and selecting this interval's serve set by a scan of a short prefix
+#: of the persistent inverse permutation (its ``allocs`` count only the
+#: scan scratch growing, none in steady state).  Comparing the dense and
 #: incremental paths therefore means comparing the *sum* of their
 #: ``kernel.dp.*`` stages, not label by label.  ``clib.build`` is the
 #: one-time compile (cold cache) or load of a C library

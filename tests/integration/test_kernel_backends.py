@@ -17,7 +17,9 @@ and once with ``CC=/bin/false``.
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,11 @@ from repro import (
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.sim import ckernels, clib, perf
-from repro.sim.batch_kernels import KERNEL_BACKENDS, resolve_backend
+from repro.sim.batch_kernels import (
+    KERNEL_BACKENDS,
+    BatchDPKernel,
+    resolve_backend,
+)
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import cellsim, partition_cells, run_topology_batch
 
@@ -169,6 +175,32 @@ class TestNonIntegerTimingBackendIdentity:
         assert ref.deliveries.sum() > 0
         _assert_same(_batch(spec, factory, "c", 150), ref)
 
+    @pytest.mark.parametrize("dp_state", ["dense", "incremental"])
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+    def test_busy_time_is_float64_attempts_times_air(self, backend, dp_state):
+        # A 3000.3 us interval holds 9 transmissions, so N=12 exceeds the
+        # budget and the kernel picks the incremental path unless forced
+        # dense.  Busy time is attempts x air in float64 plus the claims'
+        # airtime (0, 1 or 2 fitting claims of 66.1 us); a product
+        # formed in the float32 draw dtype misses every candidate.
+        spec = self._spec(12)
+        timing = dataclasses.replace(spec.timing, interval_us=3000.3)
+        spec = dataclasses.replace(spec, timing=timing)
+        with mock.patch.object(
+            BatchDPKernel, "_force_dense", dp_state == "dense"
+        ):
+            sim = BatchIntervalSimulator(
+                spec, DBDPPolicy(), SEEDS, backend=backend, rng="free",
+                record_traces=True, validate=False,
+            )
+        assert (sim.backend, sim.dp_state) == (backend, dp_state)
+        res = sim.run(150)
+        air, claim = timing.data_airtime_us, timing.empty_airtime_us
+        work = res.attempts.sum(axis=-1).astype(np.float64) * air
+        assert (work != work.astype(np.float32)).any()
+        candidates = work[..., None] + claim * np.arange(3.0)
+        assert (res.busy_time_us[..., None] == candidates).any(axis=-1).all()
+
     def test_dense_start_planes_agree(self, c_backend):
         # Service starts are rounded floats here; a different operation
         # order shows in their last bit long before it flips a decision.
@@ -229,6 +261,40 @@ class TestBuildCost:
             perf.reset()
         assert stages["clib.build"]["calls"] == 1
         assert stages["kernel.dp.timeline"]["calls"] == 5
+
+    def test_cold_build_evicts_all_but_newest_builds(
+        self, c_backend, monkeypatch, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setattr(clib.tempfile, "gettempdir", lambda: str(cache))
+        source = tmp_path / "_demo.c"
+        source.write_text("int demo(void) { return 1; }\n")
+        stale = []
+        for age in range(6):  # six older builds, newest first
+            path = cache / f"repro_demo_{age:020x}.so"
+            path.write_bytes(b"")
+            os.utime(path, (1e9 - age, 1e9 - age))
+            stale.append(path)
+        bystanders = [
+            cache / f"repro_demo_{0:020x}.so.tmp4242",  # in-flight build
+            cache / f"repro_other_{0:020x}.so",  # another source
+            cache / f"repro_demo_x_{0:020x}.so",  # another stem
+        ]
+        for path in bystanders:
+            path.write_bytes(b"")
+        built = clib._build(source, clib.compiler())
+        kept = stale[: clib.KEEP_BUILDS - 1]
+        assert sorted(cache.glob("repro_demo_*.so")) == sorted(
+            [built, *kept, bystanders[2]]
+        )
+        assert all(path.exists() for path in bystanders)
+        # A warm hit compiles and evicts nothing, and refreshes the
+        # build's mtime, so eviction ranks builds by last use.
+        os.utime(built, (1e9 - 100, 1e9 - 100))
+        assert clib._build(source, clib.compiler()) == built
+        assert all(path.exists() for path in kept)
+        assert built.stat().st_mtime > kept[0].stat().st_mtime
 
 
 class TestNoCompilerFallback:

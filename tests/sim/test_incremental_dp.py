@@ -28,6 +28,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DBDPPolicy
 from repro.core.permutations import (
@@ -49,6 +51,17 @@ def _video(n, alpha=0.55):
 def _low_latency(n, alpha=0.55):
     # Budget 16: N=20 is a cheap sparse case.
     return low_latency_spec(alpha, num_links=n)
+
+
+def _video_idle(n):
+    # Low load: the serve set reaches deep into the priority order, so
+    # the selection's prefix scan must grow past its start width.
+    return _video(n, alpha=0.05)
+
+
+def _video_light(n):
+    # At N=80, rows with fewer than K backlogged links: filler slots.
+    return _video(n, alpha=0.1)
 
 
 def _video_ge(n, alpha=0.55):
@@ -108,6 +121,8 @@ class TestDenseIncrementalBitIdentity:
             (_video, 2000, 6, (0, 1)),
             (_low_latency, 20, 300, (0, 1, 2)),
             (_video_ge, 80, 150, (0, 1, 2)),
+            (_video_idle, 2000, 6, (0, 1)),
+            (_video_light, 80, 150, (0, 1, 2)),
         ],
     )
     def test_every_interval_identical(self, builder, n, num_intervals, seeds):
@@ -142,6 +157,101 @@ class TestDenseIncrementalBitIdentity:
         sim, inc = _run(spec, 200, rng="free")
         assert sim.dp_state == "incremental"
         _assert_runs_identical(dense, inc, "rng=free")
+
+
+def _oracle_serve_set(inv, backlog, cands, swap, K):
+    """Each row's K lowest backlogged positions (after the commit-coin
+    swap), by ``argpartition`` over all N links; non-backlogged links sit
+    at position N."""
+    S, n = inv.shape
+    pos = np.empty_like(inv)
+    for s in range(S):
+        pos[s, inv[s]] = np.arange(n)
+        if swap[s]:
+            c = cands[s]
+            pos[s, inv[s, c - 1]] = c
+            pos[s, inv[s, c]] = c - 1
+    pos[backlog == 0] = n
+    part = np.argpartition(pos, K - 1, axis=1)[:, :K]
+    keys = np.take_along_axis(pos, part, axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    return (
+        np.take_along_axis(part, order, axis=1),
+        np.take_along_axis(keys, order, axis=1),
+    )
+
+
+class TestServeSetSelection:
+    """The incremental path's prefix scan picks the same serve set as an
+    argpartition over every link, whatever the prefix width it starts
+    from."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_prefix_scan_matches_argpartition(self, data):
+        # Budget 16 (K = 17) keeps N small enough for many examples.
+        n = data.draw(st.integers(18, 48), label="n")
+        seeds = (0, 1, 2, 3)
+        sim = BatchIntervalSimulator(
+            _low_latency(n), DBDPPolicy(), seeds=seeds, validate=False,
+            backend="numpy",
+        )
+        kernel = sim.kernel
+        w = kernel._ws
+        S, K = len(seeds), kernel._inc_k
+        assert sim.dp_state == "incremental"
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1), label="rng")
+        )
+        # From every link backlogged down to none, via loads that leave
+        # fewer than K backlogged links in a row.
+        load = data.draw(
+            st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
+            label="load",
+        )
+        M = data.draw(st.integers(K, n), label="M")
+        swap = np.array(
+            data.draw(
+                st.lists(st.booleans(), min_size=S, max_size=S),
+                label="swap",
+            )
+        )
+        straddle = np.array(
+            data.draw(
+                st.lists(st.booleans(), min_size=S, max_size=S),
+                label="straddle",
+            )
+        )
+        for s in range(S):
+            w.inv[s] = rng.permutation(n)
+        backlog = np.where(
+            rng.random((S, n)) < load, rng.integers(1, 4, (S, n)), 0
+        )
+        cands = rng.integers(1, n, S)
+        if M < n:
+            # The pair straddles the prefix boundary: c - 1 = M - 1, c = M.
+            cands[straddle] = M
+        rows = np.arange(S)
+        w.cands[:, 0] = cands
+        w.down[:, 0] = w.inv[rows, cands - 1]
+        w.up[:, 0] = w.inv[rows, cands]
+        w.scan_m = M
+        rc = np.flatnonzero(swap)
+        kernel._select_serve_set(backlog, rc, cands[rc])
+
+        links, positions = _oracle_serve_set(w.inv, backlog, cands, swap, K)
+        np.testing.assert_array_equal(w.posk, positions)
+        real = positions < n
+        np.testing.assert_array_equal(w.prev_links[real], links[real])
+        np.testing.assert_array_equal(
+            w.sel_flat, w.prev_links + rows[:, None] * n
+        )
+        for s in range(S):
+            row = w.prev_links[s]
+            assert len(set(row.tolist())) == K, "duplicate link in a row"
+            assert (backlog[s, row[~real[s]]] == 0).all()
+        assert K <= w.scan_m <= n
+        assert w.scan_m > w.posk[:, K - 1].max() or w.scan_m == n
 
 
 class TestCrossBackendIdentity:
